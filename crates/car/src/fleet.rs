@@ -1159,13 +1159,13 @@ mod tests {
     #[test]
     fn fleet_metrics_replay_byte_identically() {
         let cfg = tiny(FleetEnforcement::baseline());
-        let mut a = run_fleet(&cfg);
-        let mut b = run_fleet(&cfg);
+        let a = run_fleet(&cfg);
+        let b = run_fleet(&cfg);
         assert_eq!(a.metrics.to_json(), b.metrics.to_json());
         // and across thread counts
         let mut serial = cfg.clone();
         serial.threads = 1;
-        let mut c = run_fleet(&serial);
+        let c = run_fleet(&serial);
         assert_eq!(a.metrics.to_json(), c.metrics.to_json());
     }
 
@@ -1174,8 +1174,8 @@ mod tests {
         let cfg = tiny(FleetEnforcement::baseline());
         let mut other = cfg.clone();
         other.seed = cfg.seed + 1;
-        let mut a = run_fleet(&cfg);
-        let mut b = run_fleet(&other);
+        let a = run_fleet(&cfg);
+        let b = run_fleet(&other);
         assert_ne!(
             a.metrics.to_json(),
             b.metrics.to_json(),
@@ -1189,13 +1189,13 @@ mod tests {
         let engine = Arc::new(PolicyEngine::from_policy(car_policy()));
         let vehicle = Vehicle::build(&cfg, 0, Arc::clone(&engine));
         let states = vehicle.states().clone();
-        let mut metrics = vehicle.run(&cfg);
+        let metrics = vehicle.run(&cfg);
         // wheel-speed broadcasts crossed into the comfort segment and
         // reached the head unit's display state
         assert_eq!(lock(&states.infotainment).displayed_speed, 60);
         assert!(metrics.counter("gateway.crossed") > 0);
         assert!(metrics.counter("frames.transmitted") >= 300);
-        assert!(metrics.histogram_mut("verdict.cycles").is_some());
+        assert!(metrics.histogram("verdict.cycles").is_some());
     }
 
     #[test]
@@ -1242,18 +1242,18 @@ mod tests {
             probability: 0.02,
             target_ids: Vec::new(),
         });
-        let mut a = run_fleet(&cfg);
-        let mut b = run_fleet(&cfg);
+        let a = run_fleet(&cfg);
+        let b = run_fleet(&cfg);
         assert_eq!(a.metrics.to_json(), b.metrics.to_json());
         let mut serial = cfg.clone();
         serial.threads = 1;
-        let mut c = run_fleet(&serial);
+        let c = run_fleet(&serial);
         assert_eq!(a.metrics.to_json(), c.metrics.to_json());
         assert!(a.metrics.counter("frames.corrupted") > 0, "errors must occur");
         // and the model changes the run relative to a clean one
         let mut clean = tiny(FleetEnforcement::baseline());
         clean.error_model = None;
-        let mut d = run_fleet(&clean);
+        let d = run_fleet(&clean);
         assert_eq!(d.metrics.counter("frames.corrupted"), 0);
         assert_ne!(a.metrics.to_json(), d.metrics.to_json());
     }
@@ -1311,12 +1311,12 @@ mod tests {
         // trackers from coupling vehicles: merged metrics stay a pure
         // function of (config, seed) at any thread count.
         let cfg = tiny(FleetEnforcement::full_with_app());
-        let mut a = run_fleet(&cfg);
-        let mut b = run_fleet(&cfg);
+        let a = run_fleet(&cfg);
+        let b = run_fleet(&cfg);
         assert_eq!(a.metrics.to_json(), b.metrics.to_json());
         let mut serial = cfg.clone();
         serial.threads = 1;
-        let mut c = run_fleet(&serial);
+        let c = run_fleet(&serial);
         assert_eq!(a.metrics.to_json(), c.metrics.to_json());
         assert_eq!(a.leaked(), 0, "the extra rung must not weaken the ladder");
     }
@@ -1359,7 +1359,7 @@ mod tests {
         for threads in [1, 4, 8] {
             let mut run_cfg = cfg.clone();
             run_cfg.threads = threads;
-            let mut report = run_fleet(&run_cfg);
+            let report = run_fleet(&run_cfg);
             let json = report.metrics.to_json();
             match &baseline {
                 None => baseline = Some(json),

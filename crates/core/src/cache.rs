@@ -1,8 +1,8 @@
 //! A fixed-size, lock-free, generation-tagged decision cache.
 //!
-//! [`GenCache`] is the caching idiom shared by the policy engine's decision
-//! cache and `polsec-hpe`'s verdict cache (and mirrored, in map form, by
-//! `polsec-mac`'s AVC): entries are tagged with the policy **generation**
+//! [`GenCache`] is the policy engine's decision cache, and its caching idiom
+//! is mirrored by `polsec-hpe`'s per-handle verdict cache and, in map form,
+//! by `polsec-mac`'s AVC: entries are tagged with the policy **generation**
 //! they were computed under, and a reload invalidates by bumping the
 //! generation — stale entries can never answer, they are simply overwritten.
 //!

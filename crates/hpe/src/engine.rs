@@ -15,13 +15,17 @@
 //! # The lookup fast path (DESIGN.md §6)
 //!
 //! The per-frame path is lock-light: telemetry counters are atomics, the
-//! engine label is a pre-shared `Arc<str>`, and verdicts are cached in a
-//! generation-tagged [`GenCache`] keyed by `(can id, direction)` — the same
-//! idiom as `polsec-core`'s decision cache. A signed configuration update
-//! (or a decision-block swap) bumps the generation, so stale verdicts can
-//! never answer; only a cache miss takes the configuration read lock. Cycle
-//! accounting is preserved on hits: the cached verdict carries the cycle
-//! cost the hardware comparator bank spends on every frame.
+//! engine label is a pre-shared `Arc<str>`, and each handle keeps a small
+//! plain-memory verdict cache keyed by `(can id, direction)`. The
+//! [`Interposer`] seam hands a node exclusive `&mut` access to its boxed
+//! handle, so one atomic load of the generation validates the whole cache.
+//! A signed configuration update (or a decision-block swap) bumps the
+//! generation, so stale verdicts can never answer. A miss, and every
+//! [`probe_read`](HardwarePolicyEngine::probe_read)/
+//! [`probe_write`](HardwarePolicyEngine::probe_write), runs the decision
+//! block under the configuration read lock, as the comparator bank would.
+//! Cycle accounting is preserved on hits: the cached verdict carries the
+//! cycle cost the hardware comparator bank spends on every frame.
 
 use crate::config::compile_policy_to_lists;
 use crate::decision::DecisionBlock;
@@ -30,14 +34,13 @@ use crate::lists::ApprovedLists;
 use crate::telemetry::HpeTelemetry;
 use polsec_can::node::{InterposeVerdict, Interposer};
 use polsec_can::{CanFrame, CanId};
-use polsec_core::cache::{GenCache, KEY_VALID};
 use polsec_core::SignedBundle;
 use polsec_sim::SimTime;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// Mutable configuration, touched only by updates and cache misses.
+/// Mutable configuration, touched only by updates, cache misses and probes.
 #[derive(Debug)]
 struct HpeConfig {
     lists: ApprovedLists,
@@ -189,13 +192,8 @@ struct Shared {
     config: RwLock<HpeConfig>,
     config_version: AtomicU64,
     telemetry: TelemetryCounters,
-    cache: GenCache,
     generation: AtomicU32,
 }
-
-/// Verdict-cache slots; CAN id spaces are small, so a modest table hits
-/// almost always.
-const VERDICT_CACHE_SLOTS: usize = 2_048;
 
 const DIR_READ: u64 = 0;
 const DIR_WRITE: u64 = 1;
@@ -208,7 +206,7 @@ const LOCAL_VERDICT_SLOTS: usize = 64;
 /// hands each node exclusive `&mut` access to its boxed engine handle, so
 /// the handle may keep plain memory: one generation check (a single atomic
 /// load) validates the whole cache, and a config update wipes it on the
-/// next use. Misses fall through to the shared [`GenCache`] path.
+/// next use. Misses run the decision block.
 #[derive(Debug, Clone)]
 struct LocalVerdicts {
     /// `(packed key + 1, packed verdict)`; key 0 marks an empty slot.
@@ -246,7 +244,6 @@ impl HardwarePolicyEngine {
                 }),
                 config_version: AtomicU64::new(0),
                 telemetry: TelemetryCounters::default(),
-                cache: GenCache::with_capacity(VERDICT_CACHE_SLOTS),
                 generation: AtomicU32::new(0),
             }),
             local: LocalVerdicts::new(),
@@ -275,10 +272,10 @@ impl HardwarePolicyEngine {
         self.shared.config.write().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Bumps the verdict-cache generation and erases the slots.
+    /// Bumps the verdict-cache generation, which wipes every handle's
+    /// cache on its next lookup.
     fn invalidate(&self) {
         self.shared.generation.fetch_add(1, Ordering::AcqRel);
-        self.shared.cache.clear();
     }
 
     /// The engine's label, pre-shared so reads take no lock and clone no
@@ -309,7 +306,8 @@ impl HardwarePolicyEngine {
 
     /// Looks up the read-path (ingress) verdict for `id` without recording
     /// telemetry: `(granted, cycles)` exactly as the inline engine would
-    /// decide, through the same verdict cache.
+    /// decide. Probes bypass the per-handle cache and run the decision
+    /// block directly.
     ///
     /// A maintenance-port diagnostic — the fleet engine samples
     /// deterministic verdict costs with it without perturbing the counters
@@ -387,8 +385,8 @@ impl HardwarePolicyEngine {
         Ok(())
     }
 
-    /// The `&mut` fast path: per-handle plain-memory cache first, shared
-    /// seqlock cache on a miss. One atomic load (the generation) validates
+    /// The `&mut` fast path: per-handle plain-memory cache first, the
+    /// decision block on a miss. One atomic load (the generation) validates
     /// the local entries; a configuration update bumps the generation, which
     /// wipes the local cache here before any stale verdict can answer.
     fn filter_local(&mut self, direction: u64, id: CanId) -> (bool, u32) {
@@ -412,25 +410,14 @@ impl HardwarePolicyEngine {
         (granted, cycles)
     }
 
-    /// One filtered lookup: cache first, decision block on a miss.
+    /// One uncached lookup: the decision block over the active lists.
     fn filter(&self, direction: u64, id: CanId) -> (bool, u32) {
-        let generation = u64::from(self.shared.generation.load(Ordering::Acquire)) & 0xF_FFFF;
-        let packed_id = (u64::from(id.raw()) << 2)
-            | (u64::from(id.is_extended()) << 1)
-            | direction;
-        let key = [packed_id, 0, KEY_VALID | generation];
-        if let Some(v) = self.shared.cache.lookup(key) {
-            return (v & 1 == 1, (v >> 1) as u32);
-        }
         let config = self.read_config();
         let list = match direction {
             DIR_READ => config.lists.read(),
             _ => config.lists.write(),
         };
         let verdict = config.block.decide(list, id);
-        self.shared
-            .cache
-            .insert(key, (u64::from(verdict.cycles) << 1) | u64::from(verdict.granted));
         (verdict.granted, verdict.cycles)
     }
 
@@ -551,7 +538,7 @@ mod tests {
             (0, 0, 0, 0, 0),
             "probing must not perturb telemetry"
         );
-        // Probe verdicts agree with the inline path and share its cache.
+        // Probe verdicts agree with the inline path.
         let mut inline = hpe.clone();
         assert_eq!(inline.on_ingress(SimTime::ZERO, &frame(0x100)), InterposeVerdict::Grant);
         assert_eq!(inline.on_ingress(SimTime::ZERO, &frame(0x200)), InterposeVerdict::Block);
@@ -643,6 +630,78 @@ mod tests {
         // The cached grant for 0x10 must not survive the update.
         assert_eq!(inline.on_ingress(SimTime::ZERO, &frame(0x10)), InterposeVerdict::Block);
         assert_eq!(inline.on_ingress(SimTime::ZERO, &frame(0x20)), InterposeVerdict::Grant);
+    }
+
+    /// For each of `ids` in both directions, asserts that the inline
+    /// interposer (verdict, and cycles charged to telemetry), the probe and
+    /// the decision block over the engine's lists all agree.
+    fn assert_paths_agree(
+        inline: &mut dyn Interposer,
+        hpe: &HardwarePolicyEngine,
+        ids: impl IntoIterator<Item = u32>,
+        stage: &str,
+    ) {
+        let lists = hpe.lists();
+        let block = DecisionBlock::default();
+        for raw in ids {
+            let (id, f) = (sid(raw), frame(raw));
+            for (dir, list) in [("read", lists.read()), ("write", lists.write())] {
+                let cycles_before = hpe.telemetry().total_cycles;
+                let (verdict, probe) = if dir == "read" {
+                    (inline.on_ingress(SimTime::ZERO, &f), hpe.probe_read(id))
+                } else {
+                    (inline.on_egress(SimTime::ZERO, &f), hpe.probe_write(id))
+                };
+                let charged = hpe.telemetry().total_cycles - cycles_before;
+                let oracle = block.decide(list, id);
+                let want = (oracle.granted, oracle.cycles);
+                assert_eq!(probe, want, "{stage}: probe_{dir} {raw:#x}");
+                assert_eq!(
+                    (verdict == InterposeVerdict::Grant, charged as u32),
+                    want,
+                    "{stage}: inline {dir} {raw:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn inline_probe_and_decision_block_agree_across_an_update() {
+        // Ids whose verdict or cycle cost the update changes.
+        const CHANGED: [u32; 8] = [0x080, 0x100, 0x123, 0x7FF, 0x200, 0x2FF, 0x040, 0x05F];
+        let hpe = engine_allowing(&[0x100, 0x123, 0x7FF], &[0x080, 0x100])
+            .with_oem_key(KEY.to_vec());
+        let mut boxed: Box<dyn Interposer> = Box::new(hpe.clone());
+        let mut maintenance = hpe.clone();
+        for (handle, name) in [
+            (boxed.as_mut(), "node handle"),
+            (&mut maintenance as &mut dyn Interposer, "maintenance clone"),
+        ] {
+            assert_paths_agree(handle, &hpe, 0..0x800, &format!("before update, {name}"));
+            // Leave the changed ids' old verdicts in the per-handle cache.
+            assert_paths_agree(handle, &hpe, CHANGED, &format!("before update, {name}"));
+        }
+        let before = hpe.lists();
+        let policy = parse_policy(
+            r#"policy "rotated" version 3 {
+                allow read on can:0x123 from *:*;
+                allow read on can:0x200-0x2FF from *:*;
+                allow write on can:0x7FF from *:*;
+                allow write on can:0x040-0x05F from *:*;
+            }"#,
+        )
+        .unwrap();
+        let bundle = PolicyBundle::new(1, "rotate", vec![policy]).sign(KEY);
+        hpe.apply_signed_config(&bundle, None).unwrap();
+        assert_ne!(hpe.lists(), before, "the update must change the lists");
+        for (handle, name) in [
+            (boxed.as_mut(), "node handle"),
+            (&mut maintenance as &mut dyn Interposer, "maintenance clone"),
+        ] {
+            // The changed ids first, before any other lookup evicts them.
+            assert_paths_agree(handle, &hpe, CHANGED, &format!("after update, {name}"));
+            assert_paths_agree(handle, &hpe, 0..0x800, &format!("after update, {name}"));
+        }
     }
 
     #[test]

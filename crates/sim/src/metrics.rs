@@ -1,8 +1,9 @@
 //! Counters and histograms for experiments.
 //!
 //! Every harness binary in `polsec-bench` reports through these types so the
-//! output tables are produced uniformly. Histograms store raw samples (the
-//! experiments here are small enough that exact percentiles beat bucketing).
+//! output tables are produced uniformly. Histograms are log-linear bucket
+//! counts: their memory is fixed by the largest value recorded, never by the
+//! number of observations, and merging two of them is bucket addition.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -76,102 +77,173 @@ impl fmt::Display for Counter {
     }
 }
 
-/// An exact-sample histogram of `u64` observations.
+/// A log-linear bucket histogram of `u64` observations.
 ///
-/// Keeps every sample; suited to the 1e3–1e6-sample scale of the experiments
-/// in this workspace.
+/// Values below `2^SUB_BUCKET_BITS` get a bucket each and are exact. Each
+/// power of two above that splits into `2^SUB_BUCKET_BITS` linear
+/// sub-buckets, so a reported quantile is below the exact nearest-rank value
+/// by a relative error of at most `2^-SUB_BUCKET_BITS`. The count, minimum,
+/// maximum and sum are exact.
+///
+/// The bucket table grows only to the highest occupied bucket, so its size
+/// is a function of the largest value recorded, not of how many values were
+/// recorded. Merging is bucket addition, which is commutative: the merged
+/// histogram does not depend on merge order.
+///
+/// # Example
+/// ```
+/// use polsec_sim::Histogram;
+/// let mut h = Histogram::new();
+/// for v in 1..=1_000u64 {
+///     h.record(v);
+/// }
+/// assert_eq!((h.count(), h.min(), h.max(), h.sum()), (1_000, Some(1), Some(1_000), 500_500));
+/// let p50 = h.quantile(0.5).unwrap();
+/// assert!(p50 <= 500 && 500 - p50 <= 500 >> Histogram::SUB_BUCKET_BITS);
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct Histogram {
-    samples: Vec<u64>,
-    sorted: bool,
+    /// Observation count per bucket, up to the highest occupied bucket.
+    buckets: Vec<u64>,
+    n: u64,
+    min: u64,
+    max: u64,
+    sum: u64,
 }
 
 impl Histogram {
+    /// Linear sub-buckets per power of two are `2^SUB_BUCKET_BITS`; values
+    /// below `2^SUB_BUCKET_BITS` are exact.
+    pub const SUB_BUCKET_BITS: u32 = 7;
+
+    const SUB_BUCKETS: u64 = 1 << Self::SUB_BUCKET_BITS;
+
     /// Creates an empty histogram.
     pub fn new() -> Self {
         Histogram::default()
     }
 
+    /// The bucket holding `v`.
+    fn bucket(v: u64) -> usize {
+        if v < Self::SUB_BUCKETS {
+            return v as usize;
+        }
+        // `v >> shift` keeps the top SUB_BUCKET_BITS + 1 bits, in
+        // [SUB_BUCKETS, 2 * SUB_BUCKETS); each shift owns SUB_BUCKETS slots.
+        let shift = 63 - v.leading_zeros() - Self::SUB_BUCKET_BITS;
+        ((u64::from(shift) << Self::SUB_BUCKET_BITS) + (v >> shift)) as usize
+    }
+
+    /// The smallest value that falls into bucket `i`.
+    fn floor(i: usize) -> u64 {
+        let i = i as u64;
+        if i < Self::SUB_BUCKETS {
+            return i;
+        }
+        let shift = (i >> Self::SUB_BUCKET_BITS) - 1;
+        (Self::SUB_BUCKETS | (i & (Self::SUB_BUCKETS - 1))) << shift
+    }
+
+    /// Grows the bucket table to hold bucket `i`, to exactly that length.
+    fn reach(&mut self, i: usize) {
+        if i >= self.buckets.len() {
+            self.buckets.reserve_exact(i + 1 - self.buckets.len());
+            self.buckets.resize(i + 1, 0);
+        }
+    }
+
     /// Records one observation.
     pub fn record(&mut self, v: u64) {
-        self.samples.push(v);
-        self.sorted = false;
+        let i = Self::bucket(v);
+        self.reach(i);
+        self.buckets[i] += 1;
+        if self.n == 0 {
+            (self.min, self.max) = (v, v);
+        } else {
+            self.min = self.min.min(v);
+            self.max = self.max.max(v);
+        }
+        self.n += 1;
+        self.sum += v;
+    }
+
+    /// Adds every observation of `other` to this histogram: bucket counts,
+    /// counts and sums add; minimum and maximum combine.
+    pub fn merge(&mut self, other: &Histogram) {
+        if other.n == 0 {
+            return;
+        }
+        if let Some(top) = other.buckets.len().checked_sub(1) {
+            self.reach(top);
+        }
+        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+            *a += b;
+        }
+        if self.n == 0 {
+            (self.min, self.max) = (other.min, other.max);
+        } else {
+            self.min = self.min.min(other.min);
+            self.max = self.max.max(other.max);
+        }
+        self.n += other.n;
+        self.sum += other.sum;
     }
 
     /// Number of observations.
     pub fn count(&self) -> usize {
-        self.samples.len()
+        self.n as usize
     }
 
     /// Whether no samples have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.n == 0
     }
 
     /// Minimum observation, or `None` when empty.
     pub fn min(&self) -> Option<u64> {
-        self.samples.iter().copied().min()
+        (self.n > 0).then_some(self.min)
     }
 
     /// Maximum observation, or `None` when empty.
     pub fn max(&self) -> Option<u64> {
-        self.samples.iter().copied().max()
+        (self.n > 0).then_some(self.max)
     }
 
     /// Sum of all observations.
     pub fn sum(&self) -> u64 {
-        self.samples.iter().sum()
+        self.sum
     }
 
     /// Arithmetic mean, or `None` when empty.
     pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            None
-        } else {
-            Some(self.sum() as f64 / self.samples.len() as f64)
-        }
+        (self.n > 0).then(|| self.sum as f64 / self.n as f64)
     }
 
-    /// The `q`-quantile (0.0..=1.0) by nearest-rank, or `None` when empty.
+    /// The `q`-quantile (0.0..=1.0) by nearest rank, or `None` when empty:
+    /// the floor of the bucket holding that rank, clamped to
+    /// `[min, max]`. Exact below `2^SUB_BUCKET_BITS`; above, at most
+    /// `2^-SUB_BUCKET_BITS` below the exact value, relatively.
     ///
     /// `quantile(0.5)` is the median; `quantile(0.99)` the p99.
-    pub fn quantile(&mut self, q: f64) -> Option<u64> {
-        if self.samples.is_empty() {
+    pub fn quantile(&self, q: f64) -> Option<u64> {
+        if self.n == 0 {
             return None;
         }
-        if !self.sorted {
-            self.samples.sort_unstable();
-            self.sorted = true;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let n = self.samples.len();
-        let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-        Some(self.samples[rank - 1])
-    }
-
-    /// The raw samples, in recorded order (concatenation order after
-    /// merges). Note that [`Histogram::quantile`] sorts the samples in
-    /// place, so call sites comparing orders must do so before any
-    /// quantile/summary/JSON rendering.
-    pub fn samples(&self) -> &[u64] {
-        &self.samples
-    }
-
-    /// Moves every sample out of `other` onto the end of this histogram —
-    /// the owned, O(1)-amortised counterpart of the per-sample copy in
-    /// [`MetricSet::merge`]. Sample order is preserved: `self` then
-    /// `other`, exactly as if each of `other`'s samples had been
-    /// [`Histogram::record`]ed in turn.
-    pub fn absorb(&mut self, other: &mut Histogram) {
-        if other.samples.is_empty() {
-            return;
-        }
-        self.samples.append(&mut other.samples);
-        self.sorted = false;
+        let rank = ((q.clamp(0.0, 1.0) * self.n as f64).ceil() as u64).clamp(1, self.n);
+        let mut seen = 0;
+        let i = self
+            .buckets
+            .iter()
+            .position(|&c| {
+                seen += c;
+                seen >= rank
+            })
+            .unwrap_or(self.buckets.len() - 1);
+        Some(Self::floor(i).clamp(self.min, self.max))
     }
 
     /// A compact single-line summary: `n min mean p50 p99 max`.
-    pub fn summary(&mut self) -> String {
+    pub fn summary(&self) -> String {
         if self.is_empty() {
             return "n=0".to_string();
         }
@@ -242,9 +314,9 @@ impl MetricSet {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Mutable access to a named histogram, if present.
-    pub fn histogram_mut(&mut self, name: &str) -> Option<&mut Histogram> {
-        self.histograms.get_mut(name)
+    /// A named histogram, if present.
+    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
+        self.histograms.get(name)
     }
 
     /// Iterates counters in name order.
@@ -252,33 +324,28 @@ impl MetricSet {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
-    /// Merges another metric set into this one (counters add, histogram
-    /// samples concatenate).
+    /// Merges another metric set into this one: counters add, histograms
+    /// add bucket by bucket.
     pub fn merge(&mut self, other: &MetricSet) {
         for (k, v) in &other.counters {
             *self.counters.entry(k.clone()).or_insert(0) += v;
         }
         for (k, h) in &other.histograms {
-            let dst = self.histograms.entry(k.clone()).or_default();
-            for s in &h.samples {
-                dst.record(*s);
-            }
+            self.histograms.entry(k.clone()).or_default().merge(h);
         }
     }
 
-    /// Merges an owned metric set into this one without copying histogram
-    /// samples: counters add, histogram sample vectors are moved and
-    /// appended. Equivalent to [`MetricSet::merge`] byte-for-byte (same
-    /// counter sums, same sample concatenation order), but O(1) amortised
-    /// per histogram instead of O(samples) — the building block of
+    /// Merges an owned metric set into this one. Same result as
+    /// [`MetricSet::merge`], but names and histograms this set lacks are
+    /// moved rather than copied — the building block of
     /// [`MetricSet::merge_tree`].
     pub fn absorb(&mut self, other: MetricSet) {
         for (k, v) in other.counters {
             *self.counters.entry(k).or_insert(0) += v;
         }
-        for (k, mut h) in other.histograms {
+        for (k, h) in other.histograms {
             match self.histograms.entry(k) {
-                std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().absorb(&mut h),
+                std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(&h),
                 std::collections::btree_map::Entry::Vacant(e) => {
                     e.insert(h);
                 }
@@ -286,18 +353,16 @@ impl MetricSet {
         }
     }
 
-    /// Reduces per-shard metric sets to one merged set along a
-    /// deterministic binary tree, optionally fanning the reduction over up
-    /// to `threads` threads (values `<= 1` reduce inline).
+    /// Reduces per-shard metric sets to one merged set along a binary tree,
+    /// optionally fanning the reduction over up to `threads` threads (values
+    /// `<= 1` reduce inline). Each node splits its slice at the midpoint.
     ///
-    /// The tree's shape is a pure function of `sets.len()` — each node
-    /// splits its slice at the midpoint — and every merge keeps the left
-    /// (lower-index) half's samples ahead of the right half's, so the
-    /// result is **byte-identical** to folding the sets serially in index
-    /// order with [`MetricSet::merge`]: same counter sums, same histogram
-    /// sample order, same [`MetricSet::to_json`] string. Thread count can
-    /// only change wall-clock time, never the reduction — the property the
-    /// sharded runners' determinism contract leans on.
+    /// Counter sums and histogram bucket sums are commutative and
+    /// associative, so the result equals folding the sets serially with
+    /// [`MetricSet::merge`] in any order: same counters, same histograms,
+    /// same [`MetricSet::to_json`] string. Thread count can only change
+    /// wall-clock time, never the reduction — the property the sharded
+    /// runners' determinism contract leans on.
     pub fn merge_tree(sets: Vec<MetricSet>, threads: usize) -> MetricSet {
         fn reduce(slots: &mut [Option<MetricSet>], budget: usize) -> MetricSet {
             match slots.len() {
@@ -362,13 +427,16 @@ impl MetricSet {
     }
 
     /// Renders the set as a compact, deterministically ordered JSON object:
-    /// counters verbatim, histograms as `{n,min,mean,p50,p90,p99,max}`.
+    /// counters verbatim, histograms as
+    /// `{n,min,mean,p50,p90,p99,max,sum}`.
     ///
     /// The output is a pure function of the recorded values (names sorted,
     /// fixed float formatting), so two runs with identical metrics produce
     /// byte-identical JSON — the replay-determinism checks compare exactly
-    /// this string.
-    pub fn to_json(&mut self) -> String {
+    /// this string. The exact `sum` keeps histograms used as fingerprints
+    /// (digests of inbox order, say) sensitive to every value, which the
+    /// bucketed quantiles are not.
+    pub fn to_json(&self) -> String {
         let quote = json_quote;
         let mut out = String::from("{\"counters\":{");
         let mut first = true;
@@ -380,22 +448,20 @@ impl MetricSet {
             out.push_str(&format!("{}:{}", quote(k), v));
         }
         out.push_str("},\"histograms\":{");
-        let names: Vec<String> = self.histograms.keys().cloned().collect();
         let mut first = true;
-        for k in names {
-            let h = self.histograms.get_mut(&k).expect("key just listed");
+        for (k, h) in &self.histograms {
             if !first {
                 out.push(',');
             }
             first = false;
             let (n, min, max) = (h.count(), h.min().unwrap_or(0), h.max().unwrap_or(0));
-            let mean = h.mean().unwrap_or(0.0);
+            let (sum, mean) = (h.sum(), h.mean().unwrap_or(0.0));
             let p50 = h.quantile(0.50).unwrap_or(0);
             let p90 = h.quantile(0.90).unwrap_or(0);
             let p99 = h.quantile(0.99).unwrap_or(0);
             out.push_str(&format!(
-                "{}:{{\"n\":{n},\"min\":{min},\"mean\":{mean:.3},\"p50\":{p50},\"p90\":{p90},\"p99\":{p99},\"max\":{max}}}",
-                quote(&k)
+                "{}:{{\"n\":{n},\"min\":{min},\"mean\":{mean:.3},\"p50\":{p50},\"p90\":{p90},\"p99\":{p99},\"max\":{max},\"sum\":{sum}}}",
+                quote(k)
             ));
         }
         out.push_str("}}");
@@ -403,19 +469,13 @@ impl MetricSet {
     }
 
     /// Renders all metrics as aligned text lines, histograms summarised.
-    pub fn render(&mut self) -> String {
+    pub fn render(&self) -> String {
         let mut out = String::new();
         for (k, v) in &self.counters {
             out.push_str(&format!("{k:<40} {v}\n"));
         }
-        let names: Vec<String> = self.histograms.keys().cloned().collect();
-        for k in names {
-            let line = self
-                .histograms
-                .get_mut(&k)
-                .map(|h| h.summary())
-                .unwrap_or_default();
-            out.push_str(&format!("{k:<40} {line}\n"));
+        for (k, h) in &self.histograms {
+            out.push_str(&format!("{k:<40} {}\n", h.summary()));
         }
         out
     }
@@ -437,7 +497,7 @@ mod tests {
 
     #[test]
     fn histogram_empty_behaviour() {
-        let mut h = Histogram::new();
+        let h = Histogram::new();
         assert!(h.is_empty());
         assert_eq!(h.mean(), None);
         assert_eq!(h.quantile(0.5), None);
@@ -458,6 +518,62 @@ mod tests {
         assert_eq!(h.quantile(0.0), Some(1));
         assert_eq!(h.quantile(0.5), Some(5));
         assert_eq!(h.quantile(1.0), Some(10));
+    }
+
+    #[test]
+    fn buckets_are_contiguous_and_floors_bound_their_values() {
+        let mut values: Vec<u64> = (0..4_096).collect();
+        for shift in 0..64 {
+            let p = 1u64 << shift;
+            values.extend([p - 1, p, p + 1, p | (p >> 1), p.wrapping_mul(3) / 2]);
+        }
+        values.push(u64::MAX);
+        for v in values {
+            let i = Histogram::bucket(v);
+            let floor = Histogram::floor(i);
+            assert!(floor <= v, "floor {floor} above {v}");
+            assert_eq!(Histogram::bucket(floor), i, "floor of bucket {i} lies outside it");
+            if v < Histogram::SUB_BUCKETS {
+                assert_eq!(floor, v, "small values are exact");
+            } else {
+                assert!((v - floor) < (v >> Histogram::SUB_BUCKET_BITS).max(1), "{v}: {floor}");
+            }
+            if v > 0 {
+                // bucket indices are dense: v's predecessor lands in i or i - 1
+                assert!(i - Histogram::bucket(v - 1) <= 1, "gap below {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn table_grows_only_to_the_highest_occupied_bucket() {
+        let mut h = Histogram::new();
+        h.record(3);
+        assert_eq!(h.buckets.len(), 4);
+        h.record(1_000);
+        let top = Histogram::bucket(1_000);
+        assert_eq!(h.buckets.len(), top + 1);
+        for v in 0..1_000 {
+            h.record(v);
+        }
+        assert_eq!(h.buckets.len(), top + 1, "smaller values never grow the table");
+        assert_eq!(h.buckets.capacity(), top + 1);
+    }
+
+    #[test]
+    fn quantiles_are_bucket_floors_clamped_to_the_range() {
+        let mut h = Histogram::new();
+        for v in [1_000u64, 1_001, 1_002, 5_000] {
+            h.record(v);
+        }
+        // 1000..=1002 share the bucket starting at 1000 (width 8 above 2^9)
+        assert_eq!(h.quantile(0.5), Some(1_000));
+        assert_eq!(h.quantile(0.0), Some(1_000), "clamped up to the minimum");
+        assert_eq!(h.quantile(1.0), Some(4_992), "floor of 5000's bucket");
+        assert_eq!((h.min(), h.max(), h.sum()), (Some(1_000), Some(5_000), 8_003));
+        let mut one = Histogram::new();
+        one.record(5_000);
+        assert_eq!(one.quantile(0.5), Some(5_000), "clamped to [min, max]");
     }
 
     #[test]
@@ -486,7 +602,7 @@ mod tests {
         m.observe("latency", 20);
         assert_eq!(m.counter("granted"), 5);
         assert_eq!(m.counter("missing"), 0);
-        assert_eq!(m.histogram_mut("latency").unwrap().count(), 2);
+        assert_eq!(m.histogram("latency").unwrap().count(), 2);
         let text = m.render();
         assert!(text.contains("granted"));
         assert!(text.contains("latency"));
@@ -504,10 +620,8 @@ mod tests {
         assert_eq!(
             json,
             "{\"counters\":{\"a.first\":1,\"z.second\":2},\"histograms\":{\
-             \"lat\":{\"n\":4,\"min\":1,\"mean\":4.500,\"p50\":3,\"p90\":9,\"p99\":9,\"max\":9}}}"
+             \"lat\":{\"n\":4,\"min\":1,\"mean\":4.500,\"p50\":3,\"p90\":9,\"p99\":9,\"max\":9,\"sum\":18}}}"
         );
-        // Repeated rendering (after the internal sort) is stable.
-        assert_eq!(m.to_json(), json);
         // Empty set is still valid JSON.
         assert_eq!(MetricSet::new().to_json(), "{\"counters\":{},\"histograms\":{}}");
     }
@@ -519,13 +633,13 @@ mod tests {
         m.count("wall.elapsed_us", 123);
         m.observe("verdict.cycles", 4);
         m.observe("wall.decide_ns", 80);
-        let mut wall = m.split_off_prefix("wall.");
+        let wall = m.split_off_prefix("wall.");
         assert_eq!(wall.counter("elapsed_us"), 123);
-        assert_eq!(wall.histogram_mut("decide_ns").unwrap().count(), 1);
+        assert_eq!(wall.histogram("decide_ns").unwrap().count(), 1);
         assert_eq!(m.counter("frames"), 10);
         assert_eq!(m.counter("wall.elapsed_us"), 0, "moved out");
-        assert!(m.histogram_mut("wall.decide_ns").is_none());
-        assert!(m.histogram_mut("verdict.cycles").is_some());
+        assert!(m.histogram("wall.decide_ns").is_none());
+        assert!(m.histogram("verdict.cycles").is_some());
     }
 
     #[test]
@@ -540,13 +654,13 @@ mod tests {
     }
 
     #[test]
-    fn absorb_matches_merge_including_sample_order() {
+    fn absorb_matches_merge() {
         let mut base = MetricSet::new();
         base.count("x", 1);
         base.observe("h", 5);
         let mut other = MetricSet::new();
         other.count("x", 2);
-        other.observe("h", 9);
+        other.observe("h", 9_000);
         other.observe("h", 1);
         other.observe("only", 3);
 
@@ -554,12 +668,13 @@ mod tests {
         merged.merge(&other);
         let mut absorbed = base;
         absorbed.absorb(other);
-        assert_eq!(
-            absorbed.histogram_mut("h").unwrap().samples(),
-            &[5, 9, 1],
-            "absorb must preserve concatenation order"
-        );
+        assert_eq!(absorbed.histogram("h"), merged.histogram("h"));
         assert_eq!(absorbed.to_json(), merged.to_json());
+        let h = absorbed.histogram("h").unwrap();
+        assert_eq!(
+            (h.count(), h.min(), h.max(), h.sum()),
+            (3, Some(1), Some(9_000), 9_006)
+        );
     }
 
     fn indexed_set(i: usize) -> MetricSet {
@@ -567,37 +682,25 @@ mod tests {
         m.count("shards", 1);
         m.count(&format!("only.{i}"), i as u64 + 1);
         for k in 0..5 {
-            m.observe("order", (i * 10 + k) as u64);
+            m.observe("order", (i * 1_000 + k) as u64);
         }
         m
     }
 
     #[test]
-    fn merge_tree_is_byte_identical_to_serial_fold() {
+    fn merge_tree_matches_serial_fold_in_either_order() {
         for n in [0usize, 1, 2, 3, 7, 16, 33] {
-            let mut serial = MetricSet::new();
+            let mut forward = MetricSet::new();
+            let mut backward = MetricSet::new();
             for i in 0..n {
-                serial.merge(&indexed_set(i));
+                forward.merge(&indexed_set(i));
+                backward.merge(&indexed_set(n - 1 - i));
             }
-            let serial_samples: Vec<u64> = serial
-                .histogram_mut("order")
-                .map(|h| h.samples().to_vec())
-                .unwrap_or_default();
+            assert_eq!(forward.to_json(), backward.to_json(), "n={n}");
             for threads in [1usize, 2, 4, 8] {
-                let mut tree =
-                    MetricSet::merge_tree((0..n).map(indexed_set).collect(), threads);
-                assert_eq!(
-                    tree.histogram_mut("order")
-                        .map(|h| h.samples().to_vec())
-                        .unwrap_or_default(),
-                    serial_samples,
-                    "n={n} threads={threads}: sample order diverged"
-                );
-                assert_eq!(
-                    tree.to_json(),
-                    serial.clone().to_json(),
-                    "n={n} threads={threads}"
-                );
+                let tree = MetricSet::merge_tree((0..n).map(indexed_set).collect(), threads);
+                assert_eq!(tree.histogram("order"), forward.histogram("order"));
+                assert_eq!(tree.to_json(), forward.to_json(), "n={n} threads={threads}");
             }
         }
     }
@@ -614,6 +717,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.counter("x"), 3);
         assert_eq!(a.counter("y"), 7);
-        assert_eq!(a.histogram_mut("h").unwrap().count(), 2);
+        assert_eq!(a.histogram("h").unwrap().count(), 2);
     }
 }

@@ -876,7 +876,7 @@ mod tests {
     fn digest_run(shards: usize, threads: usize, epochs: u64) -> String {
         let mut plane = MessagePlane::new();
         plane.group(7, 0..shards);
-        let mut merged = run_epochs(
+        let merged = run_epochs(
             shards,
             threads,
             epochs,
@@ -897,8 +897,9 @@ mod tests {
                 }
             },
             |state, m| {
-                // mask so Histogram::sum (used by the JSON mean) cannot
-                // overflow when samples accumulate
+                // the digest's exact running sum (the JSON `sum` and
+                // `mean`) is what pins it now that quantiles are bucketed;
+                // the 32-bit mask keeps that sum from overflowing
                 m.observe("digest", state.1 & 0xFFFF_FFFF);
                 m.count("shards", 1);
             },
@@ -1055,7 +1056,7 @@ mod tests {
     fn faulted_digest_run(shards: usize, threads: usize, epochs: u64) -> String {
         let mut plane = MessagePlane::new();
         plane.group(7, 0..shards);
-        let mut merged = run_epochs_faulted(
+        let merged = run_epochs_faulted(
             shards,
             threads,
             epochs,
@@ -1125,7 +1126,7 @@ mod tests {
         plane.group(7, 0..6);
         let inert = FaultPlan::new(123);
         assert!(!inert.is_active());
-        let mut merged = run_epochs_faulted(
+        let merged = run_epochs_faulted(
             6,
             2,
             4,

@@ -139,8 +139,8 @@ mod tests {
     fn merged_result_is_thread_count_invariant() {
         let reference = run_sharded(16, 1, shard_task);
         for threads in [2, 3, 8, 32] {
-            let mut got = run_sharded(16, threads, shard_task);
-            let mut want = reference.clone();
+            let got = run_sharded(16, threads, shard_task);
+            let want = reference.clone();
             assert_eq!(
                 got.to_json(),
                 want.to_json(),
@@ -163,7 +163,7 @@ mod tests {
 
     #[test]
     fn zero_shards_yield_empty_metrics() {
-        let mut merged = run_sharded(0, 4, |_| MetricSet::new());
+        let merged = run_sharded(0, 4, |_| MetricSet::new());
         assert_eq!(merged.counter("anything"), 0);
         assert_eq!(merged.render(), "");
     }
