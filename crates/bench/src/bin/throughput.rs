@@ -11,7 +11,9 @@
 //!
 //! A counting global allocator asserts the DESIGN.md §6 contract: once the
 //! decision cache is warm, a cache-hit `decide` performs **zero heap
-//! allocations**. The process exits non-zero if that contract is violated.
+//! allocations**. The engine's statistics and audit total must also count
+//! every decision the harness made, across all threads (`"stats_exact"`).
+//! The process exits non-zero if either contract is violated.
 //!
 //! Usage: `throughput [threads] [rules] [seconds]` (defaults 4, 1000, 1).
 
@@ -132,13 +134,19 @@ fn main() {
     let elapsed = start.elapsed().as_secs_f64();
     let decisions_per_sec = total_decisions as f64 / elapsed;
 
+    // Every decision the harness made, single- and multi-threaded, must be
+    // counted once: by the statistics, by their effects and by the audit.
     let stats = engine.stats();
+    let made = requests.len() as u64 + HIT_WINDOW + total_decisions;
+    let audited = engine.with_audit(|log| log.total());
+    let stats_exact =
+        stats.decisions == made && stats.allows + stats.denies == made && audited == made;
     let summary = format!(
         concat!(
             "{{\"bench\":\"throughput\",\"threads\":{},\"rules\":{},",
             "\"decisions\":{},\"elapsed_sec\":{:.3},\"decisions_per_sec\":{:.0},",
             "\"allocs_per_hit\":{:.6},\"zero_alloc_hit\":{},",
-            "\"cache_hits\":{},\"cache_misses\":{}}}"
+            "\"cache_hits\":{},\"cache_misses\":{},\"stats_exact\":{}}}"
         ),
         threads,
         rules,
@@ -149,6 +157,7 @@ fn main() {
         zero_alloc_hit,
         stats.cache_hits,
         stats.cache_misses,
+        stats_exact,
     );
     println!("{summary}");
     if let Err(e) = std::fs::write("BENCH_throughput.json", format!("{summary}\n")) {
@@ -157,6 +166,13 @@ fn main() {
 
     if !zero_alloc_hit {
         eprintln!("FAIL: cache-hit decide allocated ({hit_allocs} allocations in {HIT_WINDOW} hits)");
+        std::process::exit(1);
+    }
+    if !stats_exact {
+        eprintln!(
+            "FAIL: {made} decisions made, but stats count {} ({} allows + {} denies) and the audit {audited}",
+            stats.decisions, stats.allows, stats.denies
+        );
         std::process::exit(1);
     }
 }

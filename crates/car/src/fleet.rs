@@ -50,7 +50,7 @@ use polsec_core::{AccessRequest, Action, EntityId, EvalContext, PolicyEngine};
 use polsec_hpe::{ApprovedLists, HardwarePolicyEngine};
 use polsec_sim::{run_sharded, DetRng, MetricSet, Scheduler, SimDuration};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Powertrain-segment nodes (segment A).
@@ -342,6 +342,7 @@ pub struct Vehicle {
     door_locks: NodeHandle,
     telematics: NodeHandle,
     engine: Arc<PolicyEngine>,
+    ids: &'static CrossingIds,
     app: Option<crate::components::AppPolicy>,
     monitor: Option<Shared<EcuMonitor>>,
     ctx: EvalContext,
@@ -419,18 +420,65 @@ pub fn is_command_id(id: u16) -> bool {
 /// The policy asset a crossing frame concerns, if the identifier maps onto
 /// one the fleet policy knows about.
 pub fn asset_for_id(id: u16) -> Option<&'static str> {
+    asset_index(id).map(|i| ASSETS[i])
+}
+
+/// The assets of [`asset_for_id`], indexed by [`asset_index`].
+const ASSETS: [&str; 7] = [
+    "ev-ecu",
+    "eps",
+    "engine",
+    "door-locks",
+    "3g-4g-wifi",
+    "safety-critical",
+    "v2x-platoon",
+];
+
+fn asset_index(id: u16) -> Option<usize> {
     match id {
-        messages::ECU_COMMAND | messages::ECU_STATUS => Some("ev-ecu"),
-        messages::EPS_COMMAND | messages::EPS_STATUS => Some("eps"),
-        messages::ENGINE_COMMAND | messages::ENGINE_STATUS => Some("engine"),
-        messages::DOOR_LOCK_COMMAND | messages::DOOR_LOCK_STATUS => Some("door-locks"),
-        messages::MODEM_CONTROL => Some("3g-4g-wifi"),
+        messages::ECU_COMMAND | messages::ECU_STATUS => Some(0),
+        messages::EPS_COMMAND | messages::EPS_STATUS => Some(1),
+        messages::ENGINE_COMMAND | messages::ENGINE_STATUS => Some(2),
+        messages::DOOR_LOCK_COMMAND | messages::DOOR_LOCK_STATUS => Some(3),
+        messages::MODEM_CONTROL => Some(4),
         messages::ALARM_CONTROL
         | messages::SAFETY_EVENT
         | messages::FAILSAFE_TRIGGER
-        | messages::MODE_CHANGE => Some("safety-critical"),
-        messages::V2X_LEAD | messages::V2X_HEALTH => Some("v2x-platoon"),
+        | messages::MODE_CHANGE => Some(5),
+        messages::V2X_LEAD | messages::V2X_HEALTH => Some(6),
         _ => None,
+    }
+}
+
+/// The `entry:*` and `asset:*` entities a gateway crossing is judged
+/// with, interned once per process (by the first [`Vehicle::build`]) so
+/// judging a frame takes no interner lock.
+struct CrossingIds {
+    /// `entry:<origin>` at `Origin::code() - 1` (codes run 1..=6), then
+    /// `entry:unknown` for a command whose origin does not parse.
+    entries: [EntityId; 7],
+    /// `asset:<name>` at [`asset_index`].
+    assets: [EntityId; ASSETS.len()],
+}
+
+impl CrossingIds {
+    fn shared() -> &'static CrossingIds {
+        static IDS: OnceLock<CrossingIds> = OnceLock::new();
+        IDS.get_or_init(CrossingIds::new)
+    }
+
+    fn new() -> Self {
+        CrossingIds {
+            entries: std::array::from_fn(|i| {
+                let origin = Origin::from_code(i as u8 + 1);
+                EntityId::new("entry", origin.map_or("unknown", Origin::entry_point_id))
+            }),
+            assets: ASSETS.map(|asset| EntityId::new("asset", asset)),
+        }
+    }
+
+    fn entry(&self, origin: Option<Origin>) -> EntityId {
+        self.entries[origin.map_or(6, |o| usize::from(o.code()) - 1)]
     }
 }
 
@@ -702,6 +750,7 @@ impl Vehicle {
             door_locks: door_locks.expect("door-locks is a powertrain node"),
             telematics: telematics_node.expect("telematics is a comfort node"),
             engine,
+            ids: CrossingIds::shared(),
             app,
             monitor,
             ctx,
@@ -906,7 +955,7 @@ impl Vehicle {
         let CanId::Standard(id) = frame.id() else {
             return;
         };
-        let Some(asset) = asset_for_id(id) else {
+        let Some(asset) = asset_index(id) else {
             return;
         };
         // Commands are judged as a write from their claimed origin — a
@@ -914,21 +963,17 @@ impl Vehicle {
         // judged as a write from an unrecognised entry, which the
         // default-deny policy flags. Status broadcasts are judged as the
         // consuming segment boundary reading the asset.
-        let (entry, action) = if is_command_id(id) {
-            match parse_command(frame) {
-                Some((_, origin)) => (origin.entry_point_id(), Action::Write),
-                None => ("unknown", Action::Write),
-            }
+        let (origin, action) = if is_command_id(id) {
+            (
+                parse_command(frame).map(|(_, origin)| origin),
+                Action::Write,
+            )
         } else if into_powertrain {
-            ("telematics", Action::Read)
+            (Some(Origin::Telematics), Action::Read)
         } else {
-            ("infotainment-ui", Action::Read)
+            (Some(Origin::Infotainment), Action::Read)
         };
-        let request = AccessRequest::new(
-            EntityId::new("entry", entry),
-            EntityId::new("asset", asset),
-            action,
-        );
+        let request = AccessRequest::new(self.ids.entry(origin), self.ids.assets[asset], action);
         let started = Instant::now();
         let decision = self.engine.decide(&request, &self.ctx);
         let elapsed = started.elapsed().as_nanos() as u64;
@@ -1138,6 +1183,26 @@ mod tests {
         cfg.enforcement = enforcement;
         cfg.threads = 2;
         cfg
+    }
+
+    #[test]
+    fn crossing_ids_name_the_entities_the_policy_is_asked_about() {
+        let ids = CrossingIds::new();
+        for code in 1..=6 {
+            let origin = Origin::from_code(code).expect("origin codes run 1..=6");
+            assert_eq!(
+                ids.entry(Some(origin)),
+                EntityId::new("entry", origin.entry_point_id())
+            );
+        }
+        assert_eq!(ids.entry(None), EntityId::new("entry", "unknown"));
+        for id in 0..0x800u16 {
+            assert_eq!(
+                asset_index(id).map(|i| ids.assets[i]),
+                asset_for_id(id).map(|asset| EntityId::new("asset", asset)),
+                "id {id:#x}"
+            );
+        }
     }
 
     #[test]

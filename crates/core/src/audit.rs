@@ -13,7 +13,20 @@ use std::fmt;
 /// One audited decision.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AuditRecord {
-    /// Monotonic sequence number.
+    /// Position in the log's decision history: the retained records of a
+    /// log whose [`AuditLog::total`] is `t` are numbered `t - len ..= t - 1`,
+    /// oldest first.
+    ///
+    /// An [`AuditLog`] filled by [`AuditLog::record`] numbers records in
+    /// call order. A `PolicyEngine` audits each thread into its own shard
+    /// and, when read, merges the shards: each shard keeps its own (call)
+    /// order, and among the shards' next records the one with the smallest
+    /// `(time_us, shard index)` comes first. A single-threaded engine's log
+    /// is therefore in call order, and so is the log of an engine handed
+    /// between threads whose timestamps do not decrease and strictly
+    /// increase at each handoff. For an engine that threads decide on
+    /// concurrently the order is a deterministic function of the shards'
+    /// contents, not of the order the calls happened in.
     pub seq: u64,
     /// Caller-supplied timestamp (microseconds; 0 when untimed).
     pub time_us: u64,
@@ -111,7 +124,7 @@ impl AuditLog {
     }
 
     /// Overwrites the aggregate counters (used by the engine, whose
-    /// authoritative counters are its own atomics).
+    /// authoritative counters are the sums over its shards).
     pub(crate) fn set_aggregates(&mut self, total: u64, allows: u64, denies: u64, defaults: u64) {
         self.next_seq = total;
         self.allows = allows;

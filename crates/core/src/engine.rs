@@ -14,16 +14,20 @@
 //! # The decision fast path (DESIGN.md §6)
 //!
 //! `decide` takes `&self`, and on a cache hit performs **zero heap
-//! allocations and takes zero contended locks**:
+//! allocations and no read-modify-write on engine-global state**:
 //!
 //! * entity names, rule ids and modes are interned [`Symbol`]s, so the
 //!   subject index is keyed by two `u32`s and no per-request strings exist;
-//! * statistics are plain atomic counters;
+//! * the audit trail and the statistics live in per-thread shards: each
+//!   shard is one cache-line-aligned lock around a pre-allocated ring and
+//!   plain `u64` counts, taken once per decision by the deciding thread
+//!   only. [`PolicyEngine::stats`] sums the shards, and
+//!   [`PolicyEngine::with_audit`] merges their rings by
+//!   `(time_us, shard)` when read (see [`AuditRecord::seq`]);
 //! * rate windows are per-key atomic bucket rings, consulted only when a
 //!   candidate rule actually references [`crate::Condition::RateAtMost`]
-//!   (a rate-dependency map computed at load time);
-//! * the audit trail is a set of sharded, pre-allocated rings picked by
-//!   thread, merged only when read;
+//!   (a rate-dependency map computed at load time), and found by the
+//!   declared key's string without touching the interner;
 //! * decisions themselves are cached in a generation-tagged
 //!   [`crate::cache::GenCache`] keyed by
 //!   `(subject, object, action, mode)`; [`PolicyEngine::reload`] bumps the
@@ -267,7 +271,10 @@ impl DynamicRates {
 /// scoped rate observations never couple through a global window.
 #[derive(Debug, Default)]
 struct RateTable {
-    declared: HashMap<Symbol, usize>,
+    /// Declared key (its interned string) → window slot. Looked up by the
+    /// caller's `&str` directly, so observations never read-lock the
+    /// process-global interner.
+    declared: HashMap<&'static str, usize>,
     windows: Vec<AtomicWindow>,
     /// Scope id → one window per declared key. Read-locked on the hot
     /// path; write-locked only the first time a scope is touched.
@@ -277,9 +284,7 @@ struct RateTable {
 
 impl RateTable {
     fn observe(&self, key: &str, now_us: u64) {
-        // try_get, never intern: undeclared keys must not leak interner
-        // entries (declared keys were interned once at rebuild).
-        if let Some(&i) = Symbol::try_get(key).and_then(|s| self.declared.get(&s)) {
+        if let Some(&i) = self.declared.get(key) {
             self.windows[i].observe(now_us);
         } else {
             lock(&self.dynamic).observe(key, now_us);
@@ -287,7 +292,7 @@ impl RateTable {
     }
 
     fn observe_scoped(&self, scope: u64, key: &str, now_us: u64) {
-        if let Some(&i) = Symbol::try_get(key).and_then(|s| self.declared.get(&s)) {
+        if let Some(&i) = self.declared.get(key) {
             {
                 let scopes = read(&self.scoped);
                 if let Some(windows) = scopes.get(&scope) {
@@ -309,8 +314,7 @@ impl RateTable {
     }
 
     fn declared_rate(&self, key: &str, now_us: u64) -> Option<f64> {
-        let sym = Symbol::try_get(key)?;
-        let &i = self.declared.get(&sym)?;
+        let &i = self.declared.get(key)?;
         Some(self.windows[i].count(now_us) as f64)
     }
 
@@ -318,8 +322,7 @@ impl RateTable {
     /// A declared key with an untouched scope reads as rate 0 (the scope
     /// simply has not observed any events yet).
     fn declared_rate_scoped(&self, scope: u64, key: &str, now_us: u64) -> Option<f64> {
-        let sym = Symbol::try_get(key)?;
-        let &i = self.declared.get(&sym)?;
+        let &i = self.declared.get(key)?;
         let scopes = read(&self.scoped);
         Some(
             scopes
@@ -334,23 +337,23 @@ impl RateTable {
     /// become declared. Scoped windows are indexed by declared-key slot,
     /// so they are reset wholesale (a reload starts every scope's windows
     /// empty — documented on `observe_rate_event_scoped`).
-    fn rebuild(&mut self, keys: impl Iterator<Item = Symbol>) {
+    fn rebuild(&mut self, keys: impl Iterator<Item = &'static str>) {
         let old_declared = std::mem::take(&mut self.declared);
         let old_windows = std::mem::take(&mut self.windows);
         write(&self.scoped).clear();
         let mut dynamic = lock(&self.dynamic);
-        for sym in keys {
+        for key in keys {
             let idx = self.windows.len();
             let window = AtomicWindow::default();
-            if let Some(&old) = old_declared.get(&sym) {
+            if let Some(&old) = old_declared.get(key) {
                 old_windows[old].snapshot_into(&window);
-            } else if let Some(times) = dynamic.take(sym.as_str()) {
+            } else if let Some(times) = dynamic.take(key) {
                 for t in times {
                     window.observe(t);
                 }
             }
             self.windows.push(window);
-            self.declared.insert(sym, idx);
+            self.declared.insert(key, idx);
         }
     }
 
@@ -421,17 +424,25 @@ impl EngineStats {
             ("cache_misses", self.cache_misses),
         ]
     }
+
+    fn absorb(&mut self, other: &EngineStats) {
+        self.decisions += other.decisions;
+        self.allows += other.allows;
+        self.denies += other.denies;
+        self.defaults += other.defaults;
+        self.rules_examined += other.rules_examined;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+    }
 }
 
-#[derive(Debug, Default)]
-struct EngineCounters {
-    decisions: AtomicU64,
-    allows: AtomicU64,
-    denies: AtomicU64,
-    defaults: AtomicU64,
-    rules_examined: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
+/// Whether the decision cache answered, missed, or was not consulted
+/// (caching off, or a candidate rule reads state or rates).
+#[derive(Debug, Clone, Copy)]
+enum CacheUse {
+    Hit,
+    Miss,
+    Bypass,
 }
 
 /// Number of audit shards (power of two). With at least as many shards as
@@ -440,20 +451,31 @@ const AUDIT_SHARDS: usize = 8;
 
 #[derive(Debug, Clone, Copy)]
 struct CompactAudit {
-    seq: u64,
     time_us: u64,
     request: AccessRequest,
     effect: Effect,
     rule: Option<&'static str>,
 }
 
-/// Sharded, pre-allocated audit rings: `decide` never blocks `decide` on
-/// the audit trail, and appends never allocate.
+/// One thread's audit ring and its share of the statistics.
+struct ShardState {
+    ring: VecDeque<CompactAudit>,
+    counts: EngineStats,
+}
+
+/// A shard's lock, aligned so no two shards share a cache line (nor the
+/// adjacent line the hardware prefetches in pairs).
+#[repr(align(128))]
+struct AuditShard(Mutex<ShardState>);
+
+/// Per-thread shards of pre-allocated audit rings and statistics: a
+/// decision locks only its own thread's shard, so `decide` never writes
+/// a cache line another deciding thread writes, and appends never
+/// allocate.
 struct AuditSink {
-    shards: Box<[Mutex<VecDeque<CompactAudit>>]>,
+    shards: Box<[AuditShard]>,
     per_shard: usize,
     capacity: usize,
-    seq: AtomicU64,
 }
 
 fn shard_index() -> usize {
@@ -472,49 +494,75 @@ impl AuditSink {
         let per_shard = capacity.max(1);
         AuditSink {
             shards: (0..AUDIT_SHARDS)
-                .map(|_| Mutex::new(VecDeque::with_capacity(per_shard)))
+                .map(|_| {
+                    AuditShard(Mutex::new(ShardState {
+                        ring: VecDeque::with_capacity(per_shard),
+                        counts: EngineStats::default(),
+                    }))
+                })
                 .collect(),
             per_shard,
             capacity,
-            seq: AtomicU64::new(0),
         }
     }
 
+    /// The calling thread's shard, locked.
     #[inline]
-    fn record(&self, time_us: u64, request: AccessRequest, effect: Effect, rule: Option<&'static str>) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut shard = lock(&self.shards[shard_index() % AUDIT_SHARDS]);
-        if shard.len() >= self.per_shard {
-            shard.pop_front();
-        }
-        shard.push_back(CompactAudit { seq, time_us, request, effect, rule });
+    fn local(&self) -> std::sync::MutexGuard<'_, ShardState> {
+        lock(&self.shards[shard_index() % AUDIT_SHARDS].0)
     }
 
-    fn snapshot(&self, counters: &EngineCounters) -> AuditLog {
-        let mut all: Vec<CompactAudit> = Vec::new();
+    fn stats(&self) -> EngineStats {
+        let mut total = EngineStats::default();
         for shard in self.shards.iter() {
-            all.extend(lock(shard).iter().copied());
+            total.absorb(&lock(&shard.0).counts);
         }
-        all.sort_unstable_by_key(|r| r.seq);
-        if all.len() > self.capacity {
-            let cut = all.len() - self.capacity;
-            all.drain(..cut);
+        total
+    }
+
+    /// Merges the shards' rings: each ring keeps its own order, and the
+    /// head with the smallest `(time_us, shard)` goes next. Of the merged
+    /// sequence the newest `capacity` records are kept and numbered
+    /// `total - kept ..= total - 1`.
+    fn snapshot(&self) -> AuditLog {
+        // Every shard stays locked so the counts and rings agree.
+        let shards: Vec<_> = self.shards.iter().map(|s| lock(&s.0)).collect();
+        let mut counts = EngineStats::default();
+        for shard in &shards {
+            counts.absorb(&shard.counts);
         }
+        let retained: usize = shards.iter().map(|s| s.ring.len()).sum();
+        let kept = retained.min(self.capacity);
+        let mut skip = retained - kept;
+        let mut seq = counts.decisions - kept as u64;
+        let mut heads = [0usize; AUDIT_SHARDS];
         let mut log = AuditLog::with_capacity(self.capacity);
-        for r in all {
+        while let Some((_, s)) = shards
+            .iter()
+            .enumerate()
+            .filter_map(|(s, shard)| shard.ring.get(heads[s]).map(|r| (r.time_us, s)))
+            .min()
+        {
+            let r = shards[s].ring[heads[s]];
+            heads[s] += 1;
+            if skip > 0 {
+                skip -= 1;
+                continue;
+            }
             log.push_materialised(AuditRecord {
-                seq: r.seq,
+                seq,
                 time_us: r.time_us,
                 request: r.request,
                 effect: r.effect,
                 rule: r.rule.map(str::to_string),
             });
+            seq += 1;
         }
         log.set_aggregates(
-            self.seq.load(Ordering::Relaxed),
-            counters.allows.load(Ordering::Relaxed),
-            counters.denies.load(Ordering::Relaxed),
-            counters.defaults.load(Ordering::Relaxed),
+            counts.decisions,
+            counts.allows,
+            counts.denies,
+            counts.defaults,
         );
         log
     }
@@ -639,7 +687,6 @@ pub struct PolicyEngine {
     all_cache_safe: bool,
     rates: RateTable,
     audit: AuditSink,
-    counters: EngineCounters,
     cache: GenCache,
     generation: AtomicU32,
     set: PolicySet,
@@ -690,7 +737,6 @@ impl PolicyEngine {
             all_cache_safe: true,
             rates: RateTable::default(),
             audit: AuditSink::new(audit_capacity),
-            counters: EngineCounters::default(),
             cache: GenCache::with_capacity(cache_slots),
             generation: AtomicU32::new(0),
             set,
@@ -871,7 +917,7 @@ impl PolicyEngine {
             bucket.cache_safe &= self.unindexed_cache_safe;
         }
         self.rates
-            .rebuild(self.set.rate_keys().iter().map(|k| Symbol::intern(k)));
+            .rebuild(self.set.rate_keys().iter().map(|k| Symbol::intern(k).as_str()));
     }
 
     /// Total number of rules loaded.
@@ -929,8 +975,7 @@ impl PolicyEngine {
         if cacheable {
             if let Some(packed) = self.cache.lookup(key) {
                 let decision = self.unpack(packed);
-                self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                self.finish(req, decision, 0, now_us);
+                self.finish(req, decision, 0, now_us, CacheUse::Hit);
                 return decision;
             }
         }
@@ -950,11 +995,13 @@ impl PolicyEngine {
             self.combine(req, ctx, &overlay, 0..self.rules.len() as u32, &mut examined)
         };
         let decision = self.render(outcome);
-        if cacheable {
-            self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
+        let cache_use = if cacheable {
             self.cache.insert(key, pack_outcome(outcome));
-        }
-        self.finish(req, decision, examined, now_us);
+            CacheUse::Miss
+        } else {
+            CacheUse::Bypass
+        };
+        self.finish(req, decision, examined, now_us, cache_use);
         decision
     }
 
@@ -1024,20 +1071,43 @@ impl PolicyEngine {
         }
     }
 
+    /// Counts and audits one decision under the calling thread's shard
+    /// lock, the only write `decide` makes outside the decision cache.
     #[inline]
-    fn finish(&self, req: &AccessRequest, decision: Decision, examined: u64, now_us: u64) {
-        let c = &self.counters;
-        c.decisions.fetch_add(1, Ordering::Relaxed);
-        c.rules_examined.fetch_add(examined, Ordering::Relaxed);
+    fn finish(
+        &self,
+        req: &AccessRequest,
+        decision: Decision,
+        examined: u64,
+        now_us: u64,
+        cache_use: CacheUse,
+    ) {
+        let mut shard = self.audit.local();
+        let shard = &mut *shard;
+        let c = &mut shard.counts;
+        c.decisions += 1;
+        c.rules_examined += examined;
         match decision.effect {
-            Effect::Allow => c.allows.fetch_add(1, Ordering::Relaxed),
-            Effect::Deny => c.denies.fetch_add(1, Ordering::Relaxed),
-        };
-        if decision.rule.is_none() {
-            c.defaults.fetch_add(1, Ordering::Relaxed);
+            Effect::Allow => c.allows += 1,
+            Effect::Deny => c.denies += 1,
         }
-        self.audit
-            .record(now_us, *req, decision.effect, decision.rule.map(|t| t.qualified));
+        if decision.rule.is_none() {
+            c.defaults += 1;
+        }
+        match cache_use {
+            CacheUse::Hit => c.cache_hits += 1,
+            CacheUse::Miss => c.cache_misses += 1,
+            CacheUse::Bypass => {}
+        }
+        if shard.ring.len() >= self.audit.per_shard {
+            shard.ring.pop_front();
+        }
+        shard.ring.push_back(CompactAudit {
+            time_us: now_us,
+            request: *req,
+            effect: decision.effect,
+            rule: decision.rule.map(|t| t.qualified),
+        });
     }
 
     fn combine<I: Iterator<Item = u32>>(
@@ -1107,21 +1177,13 @@ impl PolicyEngine {
 
     /// Snapshot of evaluation statistics.
     pub fn stats(&self) -> EngineStats {
-        let c = &self.counters;
-        EngineStats {
-            decisions: c.decisions.load(Ordering::Relaxed),
-            allows: c.allows.load(Ordering::Relaxed),
-            denies: c.denies.load(Ordering::Relaxed),
-            defaults: c.defaults.load(Ordering::Relaxed),
-            rules_examined: c.rules_examined.load(Ordering::Relaxed),
-            cache_hits: c.cache_hits.load(Ordering::Relaxed),
-            cache_misses: c.cache_misses.load(Ordering::Relaxed),
-        }
+        self.audit.stats()
     }
 
-    /// Runs a closure over a merged snapshot of the audit log.
+    /// Runs a closure over a merged snapshot of the audit log. Its record
+    /// order is given at [`AuditRecord::seq`].
     pub fn with_audit<R>(&self, f: impl FnOnce(&AuditLog) -> R) -> R {
-        f(&self.audit.snapshot(&self.counters))
+        f(&self.audit.snapshot())
     }
 }
 

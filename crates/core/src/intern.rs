@@ -8,8 +8,11 @@
 //! written exactly once.
 //!
 //! Interning a string that is already present takes a shared read lock on
-//! the dedup map (uncontended in steady state); only genuinely new strings
-//! take the write lock. Interned strings are leaked deliberately — the
+//! the dedup map; only genuinely new strings take the write lock. The map
+//! is process-global and a read lock still writes the lock's state, so
+//! threads interning at the same time contend on one cache line: resolve
+//! strings to symbols once, outside per-event paths. Interned strings are
+//! leaked deliberately — the
 //! table is global, append-only and bounded by the number of distinct
 //! names the process ever sees, which for an embedded policy workload is
 //! small and stable.
