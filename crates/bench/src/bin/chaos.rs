@@ -60,32 +60,13 @@ fn run(cfg: &V2xConfig) -> (V2xReport, String) {
     (report, json)
 }
 
-/// Median of three timings: robust to a single outlier pass.
-fn median3(mut xs: [f64; 3]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[1]
-}
-
-struct Gate {
-    failed: bool,
-}
-
-impl Gate {
-    fn check(&mut self, ok: bool, msg: &str) {
-        if !ok {
-            eprintln!("FAIL: {msg}");
-            self.failed = true;
-        }
-    }
-}
-
 fn main() {
     let mut args = std::env::args().skip(1);
     let vehicles: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(12);
     let epochs: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(40).max(18);
     let frames_per_epoch: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(200);
     let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(42);
-    let mut gate = Gate { failed: false };
+    let mut gate = polsec_bench::Gate::new();
 
     // ---- scenario 1: faulted rollout, replay + thread invariance --------
     let mut cfg = V2xConfig::new(vehicles, epochs, frames_per_epoch);
@@ -124,8 +105,13 @@ fn main() {
         );
         variant_jsons.push(json);
     }
-    let replay_identical = first_json == replay_json;
-    let thread_invariant = variant_jsons.iter().all(|j| *j == first_json);
+    let replay_identical =
+        gate.identical("same-seed faulted replay diverged", &first_json, [replay_json.as_str()]);
+    let thread_invariant = gate.identical(
+        "faulted metrics varied with thread count",
+        &first_json,
+        variant_jsons.iter().map(String::as_str),
+    );
 
     let m = &first.metrics;
     let dropped = m.counter("plane.dropped");
@@ -138,22 +124,20 @@ fn main() {
     let chaos_leaked = m.counter("v2x.leaked");
     let overflow = m.counter("plane.inbox_overflow");
 
-    gate.check(replay_identical, "same-seed faulted replay diverged");
-    gate.check(thread_invariant, "faulted metrics varied with thread count");
     gate.check(dropped > 0, "fault plan never dropped a delivery");
     gate.check(duplicated > 0, "fault plan never duplicated a delivery");
     gate.check(delayed > 0, "fault plan never delayed a delivery");
     gate.check(
         applied == vehicles as u64,
-        &format!("rollout applied on {applied}/{vehicles} vehicles under 30% loss"),
+        format_args!("rollout applied on {applied}/{vehicles} vehicles under 30% loss"),
     );
     gate.check(
         version_sum == vehicles as u64,
-        &format!("version sum {version_sum} != {vehicles}: a bundle double-applied"),
+        format_args!("version sum {version_sum} != {vehicles}: a bundle double-applied"),
     );
     gate.check(retransmits > 0, "30% loss produced zero retransmits");
-    gate.check(gave_up == 0, &format!("lead gave up on {gave_up} deliveries"));
-    gate.check(chaos_leaked == 0, &format!("{chaos_leaked} leaks in an attack-free run"));
+    gate.check(gave_up == 0, format_args!("lead gave up on {gave_up} deliveries"));
+    gate.check(chaos_leaked == 0, format_args!("{chaos_leaked} leaks in an attack-free run"));
 
     // ---- scenario 2: lead outage, limp-home, spoofed resume -------------
     let outage = (6u64, 12u64);
@@ -182,30 +166,31 @@ fn main() {
 
     gate.check(
         outage_epochs == outage.1 - outage.0,
-        &format!("lead was silent {outage_epochs} epochs, expected {}", outage.1 - outage.0),
+        format_args!("lead was silent {outage_epochs} epochs, expected {}", outage.1 - outage.0),
     );
     gate.check(
         entries == followers,
-        &format!("{entries}/{followers} followers entered limp-home"),
+        format_args!("{entries}/{followers} followers entered limp-home"),
     );
     gate.check(
         exits == followers,
-        &format!("{exits}/{followers} followers recovered from limp-home"),
+        format_args!("{exits}/{followers} followers recovered from limp-home"),
     );
-    gate.check(still_degraded == 0, &format!("{still_degraded} vehicles ended degraded"));
+    gate.check(still_degraded == 0, format_args!("{still_degraded} vehicles ended degraded"));
     gate.check(spoof_resume > 0, "attacker never sent a spoofed resume burst");
     gate.check(dedup_dropped > 0, "duplication faults never reached the dedup window");
     gate.check(
         outage_leaked == 0,
-        &format!("{outage_leaked} attacker messages accepted during the outage"),
+        format_args!("{outage_leaked} attacker messages accepted during the outage"),
     );
     gate.check(
         outage_applied == vehicles as u64,
-        &format!("outage rollout applied on {outage_applied}/{vehicles} vehicles"),
+        format_args!("outage rollout applied on {outage_applied}/{vehicles} vehicles"),
     );
 
     let frames = first.frames();
-    let elapsed_sec = median3([first.elapsed_sec, replay.elapsed_sec, third.elapsed_sec]);
+    let elapsed_sec =
+        polsec_bench::median([first.elapsed_sec, replay.elapsed_sec, third.elapsed_sec]);
     let frames_per_sec = frames as f64 / elapsed_sec.max(1e-9);
     let wall_json = outage_report.wall.to_json();
     let summary = format!(
@@ -243,12 +228,6 @@ fn main() {
         outage_report.metrics.to_json(),
         wall_json,
     );
-    println!("{summary}");
-    if let Err(e) = std::fs::write("BENCH_chaos.json", format!("{summary}\n")) {
-        eprintln!("note: could not write BENCH_chaos.json: {e}");
-    }
-
-    if gate.failed {
-        std::process::exit(1);
-    }
+    polsec_bench::write_summary("chaos", &summary);
+    gate.finish();
 }

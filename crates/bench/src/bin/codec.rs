@@ -20,35 +20,10 @@
 //! Usage: `codec [frames]` (default 2_000_000).
 
 use polsec_can::{codec, CanFrame, CanId};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAllocator;
-
-// SAFETY: delegates directly to the system allocator; the counter is a
-// plain atomic with no allocation of its own.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
+polsec_bench::counting_allocator!();
 
 /// A mixed working set: standard/extended, data/RTR, every DLC, plus the
 /// stuffing-pathological all-zero and all-one payloads.
@@ -86,7 +61,7 @@ fn main() {
     }
 
     // ---- steady-state encode: timed, allocation-counted ----
-    let allocs_before = ALLOCATIONS.load(Ordering::SeqCst);
+    let allocs_before = polsec_bench::allocations();
     let start = Instant::now();
     let mut encoded: u64 = 0;
     let mut wire_bits: u64 = 0;
@@ -99,10 +74,10 @@ fn main() {
         wire_bits += total_wire_bits_per_cycle;
     }
     let encode_elapsed = start.elapsed().as_secs_f64();
-    let encode_allocs = ALLOCATIONS.load(Ordering::SeqCst) - allocs_before;
+    let encode_allocs = polsec_bench::allocations() - allocs_before;
 
     // ---- wire_len fast path ----
-    let allocs_before = ALLOCATIONS.load(Ordering::SeqCst);
+    let allocs_before = polsec_bench::allocations();
     let start = Instant::now();
     let mut measured: u64 = 0;
     let mut len_sum: u64 = 0;
@@ -113,11 +88,11 @@ fn main() {
         measured += frames.len() as u64;
     }
     let wire_len_elapsed = start.elapsed().as_secs_f64();
-    let wire_len_allocs = ALLOCATIONS.load(Ordering::SeqCst) - allocs_before;
+    let wire_len_allocs = polsec_bench::allocations() - allocs_before;
     black_box(len_sum);
 
     // ---- packed decode ----
-    let allocs_before = ALLOCATIONS.load(Ordering::SeqCst);
+    let allocs_before = polsec_bench::allocations();
     let start = Instant::now();
     let mut decoded: u64 = 0;
     while decoded < frames_target {
@@ -127,20 +102,20 @@ fn main() {
         decoded += wires.len() as u64;
     }
     let decode_elapsed = start.elapsed().as_secs_f64();
-    let decode_allocs = ALLOCATIONS.load(Ordering::SeqCst) - allocs_before;
+    let decode_allocs = polsec_bench::allocations() - allocs_before;
 
     // ---- equivalence sweep over the working set (reference codec) ----
+    let mut gate = polsec_bench::Gate::new();
     let mut equivalent = true;
     for f in &frames {
         let reference = codec::encode(f, true);
         codec::encode_into(f, true, &mut buf);
-        if buf.wire().to_bools() != reference.bits()
-            || buf.stuff_bits() != reference.stuff_bits()
-            || codec::wire_len(f) != reference.len()
-        {
-            eprintln!("FAIL: packed/reference divergence for {f}");
-            equivalent = false;
-        }
+        equivalent &= gate.check(
+            buf.wire().to_bools() == reference.bits()
+                && buf.stuff_bits() == reference.stuff_bits()
+                && codec::wire_len(f) == reference.len(),
+            format_args!("packed/reference divergence for {f}"),
+        );
     }
 
     let zero_alloc = encode_allocs == 0 && wire_len_allocs == 0 && decode_allocs == 0;
@@ -166,19 +141,14 @@ fn main() {
         decode_allocs,
         equivalent,
     );
-    println!("{summary}");
-    if let Err(e) = std::fs::write("BENCH_codec.json", format!("{summary}\n")) {
-        eprintln!("note: could not write BENCH_codec.json: {e}");
-    }
+    polsec_bench::write_summary("codec", &summary);
 
-    if !zero_alloc {
-        eprintln!(
-            "FAIL: steady-state codec allocated (encode {encode_allocs}, \
+    gate.check(
+        zero_alloc,
+        format_args!(
+            "steady-state codec allocated (encode {encode_allocs}, \
              wire_len {wire_len_allocs}, decode {decode_allocs})"
-        );
-        std::process::exit(1);
-    }
-    if !equivalent {
-        std::process::exit(1);
-    }
+        ),
+    );
+    gate.finish();
 }

@@ -33,44 +33,13 @@
 
 use polsec_car::fleet::{run_fleet, FleetConfig, FleetReport};
 use polsec_sim::resolve_threads;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAllocator;
-
-// SAFETY: delegates directly to the system allocator; the counter is a
-// plain atomic with no allocation of its own.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
+polsec_bench::counting_allocator!();
 
 fn run(cfg: &FleetConfig) -> (FleetReport, String) {
     let report = run_fleet(cfg);
     let json = report.metrics.to_json();
     (report, json)
-}
-
-/// Median of three timings: robust to a single outlier pass.
-fn median3(mut xs: [f64; 3]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[1]
 }
 
 fn main() {
@@ -98,9 +67,8 @@ fn main() {
         first.frames(),
         first.elapsed_sec
     );
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocs_before = polsec_bench::allocations();
     let mut timed = Vec::with_capacity(3);
-    let mut deterministic = true;
     for pass in 1..=3u32 {
         let (report, json) = run(&cfg);
         eprintln!(
@@ -108,17 +76,18 @@ fn main() {
             report.frames(),
             report.elapsed_sec
         );
-        deterministic &= json == first_json;
         timed.push((report, json));
     }
     // Allocation ratio over all three timed passes: the warm-up already
     // paid the one-time pool growth, so this is the steady-state figure.
-    let run_allocs = (ALLOCATIONS.load(Ordering::Relaxed) - allocs_before) / 3;
-    let elapsed_sec = median3([
-        timed[0].0.elapsed_sec,
-        timed[1].0.elapsed_sec,
-        timed[2].0.elapsed_sec,
-    ]);
+    let run_allocs = (polsec_bench::allocations() - allocs_before) / 3;
+    let elapsed_sec = polsec_bench::median(timed.iter().map(|(report, _)| report.elapsed_sec));
+    let mut gate = polsec_bench::Gate::new();
+    let deterministic = gate.identical(
+        "same-seed replay produced different deterministic metrics",
+        &first_json,
+        timed.iter().map(|(_, json)| json.as_str()),
+    );
     let (second, second_json) = timed.pop().expect("three timed passes");
 
     let frames = second.frames();
@@ -162,42 +131,21 @@ fn main() {
         second_json,
         wall_json,
     );
-    println!("{summary}");
-    if let Err(e) = std::fs::write("BENCH_fleet.json", format!("{summary}\n")) {
-        eprintln!("note: could not write BENCH_fleet.json: {e}");
-    }
+    polsec_bench::write_summary("fleet", &summary);
 
-    let mut failed = false;
-    if !deterministic {
-        eprintln!("FAIL: same-seed replay produced different deterministic metrics");
-        // show the first divergence to keep debugging cheap
-        let byte = first_json
-            .bytes()
-            .zip(second_json.bytes())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| first_json.len().min(second_json.len()));
-        let lo = byte.saturating_sub(60);
-        eprintln!("  run1[..]: {}", &first_json[lo..(byte + 60).min(first_json.len())]);
-        eprintln!("  run2[..]: {}", &second_json[lo..(byte + 60).min(second_json.len())]);
-        failed = true;
-    }
-    if leaked > 0 {
-        eprintln!("FAIL: baseline enforcement leaked {leaked} attack frame deliveries");
-        failed = true;
-    }
-    if min_fps > 0.0 && frames_per_sec < min_fps {
-        eprintln!(
-            "FAIL: throughput {frames_per_sec:.0} frames/s below the floor {min_fps:.0}"
-        );
-        failed = true;
-    }
-    if max_allocs_per_frame > 0.0 && allocs_per_frame > max_allocs_per_frame {
-        eprintln!(
-            "FAIL: {allocs_per_frame:.4} allocations/frame above the gate {max_allocs_per_frame}"
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    gate.check(
+        leaked == 0,
+        format_args!("baseline enforcement leaked {leaked} attack frame deliveries"),
+    );
+    gate.check(
+        !(min_fps > 0.0 && frames_per_sec < min_fps),
+        format_args!("throughput {frames_per_sec:.0} frames/s below the floor {min_fps:.0}"),
+    );
+    gate.check(
+        !(max_allocs_per_frame > 0.0 && allocs_per_frame > max_allocs_per_frame),
+        format_args!(
+            "{allocs_per_frame:.4} allocations/frame above the gate {max_allocs_per_frame}"
+        ),
+    );
+    gate.finish();
 }

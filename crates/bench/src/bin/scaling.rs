@@ -34,39 +34,8 @@
 use polsec_car::v2x::{run_v2x, V2xConfig};
 use polsec_sim::plane::{run_epochs, MessagePlane};
 use polsec_sim::resolve_threads;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAllocator;
-
-// SAFETY: delegates directly to the system allocator; the counter is a
-// plain atomic with no allocation of its own.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Median of three timings: robust to a single outlier pass.
-fn median3(mut xs: [f64; 3]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[1]
-}
+polsec_bench::counting_allocator!();
 
 /// A synthetic all-broadcast plane epoch run: `u64` payloads, stateless
 /// shards, every envelope recycled through the outbox pool. Routing work
@@ -74,7 +43,7 @@ fn median3(mut xs: [f64; 3]) -> f64 {
 fn synthetic_routing_allocs(shards: usize, threads: usize, epochs: u64) -> u64 {
     let mut plane = MessagePlane::new();
     plane.group(1, 0..shards);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = polsec_bench::allocations();
     let merged = run_epochs(
         shards,
         threads,
@@ -90,7 +59,7 @@ fn synthetic_routing_allocs(shards: usize, threads: usize, epochs: u64) -> u64 {
         |state, m| m.count("sum", state),
     );
     assert!(merged.counter("plane.sent") >= epochs.saturating_sub(1));
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    polsec_bench::allocations() - before
 }
 
 fn main() {
@@ -133,8 +102,7 @@ fn main() {
 
     // ---- the sweep -------------------------------------------------------
     let sweep_threads = [1usize, 2, 4, 8];
-    let mut reference_json: Option<String> = None;
-    let mut deterministic = true;
+    let mut jsons = Vec::new();
     let mut sweep = Vec::new();
     for &threads in &sweep_threads {
         let mut cfg = V2xConfig::new(vehicles, epochs, frames_per_epoch);
@@ -144,11 +112,7 @@ fn main() {
         let mut elapsed = Vec::with_capacity(4);
         for pass in 0..4u32 {
             let report = run_v2x(&cfg);
-            let json = report.metrics.to_json();
-            match &reference_json {
-                None => reference_json = Some(json),
-                Some(reference) => deterministic &= json == *reference,
-            }
+            jsons.push(report.metrics.to_json());
             frames = report.frames();
             if pass == 0 {
                 eprintln!(
@@ -163,7 +127,7 @@ fn main() {
                 elapsed.push(report.elapsed_sec);
             }
         }
-        let elapsed_sec = median3([elapsed[0], elapsed[1], elapsed[2]]);
+        let elapsed_sec = polsec_bench::median(elapsed);
         let frames_per_sec = frames as f64 / elapsed_sec.max(1e-9);
         eprintln!("{threads} threads: median {elapsed_sec:.3}s = {frames_per_sec:.0} frames/s");
         sweep.push((threads, frames, elapsed_sec, frames_per_sec));
@@ -188,6 +152,13 @@ fn main() {
         .map(|&(.., fps)| fps)
         .fold(0.0f64, f64::max);
     let ratio_gated = min_ratio > 0.0 && host_parallelism >= 4;
+    let mut gate = polsec_bench::Gate::new();
+    let deterministic = gate.identical(
+        "deterministic metrics varied across the sweep — the overlapped \
+         barrier leaked thread scheduling into the results",
+        &jsons[0],
+        jsons[1..].iter().map(String::as_str),
+    );
 
     let sweep_json: Vec<String> = sweep
         .iter()
@@ -224,45 +195,31 @@ fn main() {
         ratio_gated,
         sweep_json.join(","),
     );
-    println!("{summary}");
-    if let Err(e) = std::fs::write("BENCH_scaling.json", format!("{summary}\n")) {
-        eprintln!("note: could not write BENCH_scaling.json: {e}");
-    }
+    polsec_bench::write_summary("scaling", &summary);
 
-    let mut failed = false;
-    if !deterministic {
-        eprintln!(
-            "FAIL: deterministic metrics varied across the sweep — the overlapped \
-             barrier leaked thread scheduling into the results"
-        );
-        failed = true;
-    }
-    if !zero_alloc_routing {
-        eprintln!(
-            "FAIL: steady-state routing allocates \
+    gate.check(
+        zero_alloc_routing,
+        format_args!(
+            "steady-state routing allocates \
              ({routing_allocs_per_epoch:.3} allocations/epoch)"
-        );
-        failed = true;
-    }
-    if min_fps > 0.0 && best_multithread_fps < min_fps {
-        eprintln!(
-            "FAIL: best >=4-thread throughput {best_multithread_fps:.0} frames/s \
+        ),
+    );
+    gate.check(
+        !(min_fps > 0.0 && best_multithread_fps < min_fps),
+        format_args!(
+            "best >=4-thread throughput {best_multithread_fps:.0} frames/s \
              below the floor {min_fps:.0}"
-        );
-        failed = true;
-    }
-    if ratio_gated && ratio_4_over_1 < min_ratio {
-        eprintln!(
-            "FAIL: 4-vs-1-thread ratio {ratio_4_over_1:.3} below the floor {min_ratio}"
-        );
-        failed = true;
-    } else if min_ratio > 0.0 && !ratio_gated {
+        ),
+    );
+    gate.check(
+        !(ratio_gated && ratio_4_over_1 < min_ratio),
+        format_args!("4-vs-1-thread ratio {ratio_4_over_1:.3} below the floor {min_ratio}"),
+    );
+    if min_ratio > 0.0 && !ratio_gated {
         eprintln!(
             "note: ratio floor skipped — host exposes only {host_parallelism} \
              hardware thread(s), a 4-thread run proves nothing here"
         );
     }
-    if failed {
-        std::process::exit(1);
-    }
+    gate.finish();
 }

@@ -22,39 +22,11 @@ use polsec_core::{
     PolicySet, Rule,
 };
 use polsec_core::{Effect, EvalContext};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAllocator;
-
-// SAFETY: delegates directly to the system allocator; the counters are
-// plain atomics with no allocation of their own.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
+polsec_bench::counting_allocator!();
 
 fn policy_with_rules(n: usize) -> Policy {
     let mut p = Policy::new("throughput", 1);
@@ -99,12 +71,12 @@ fn main() {
     // Zero-allocation assertion: a window of pure cache hits, single
     // threaded, must not allocate at all.
     const HIT_WINDOW: u64 = 100_000;
-    let allocs_before = ALLOCATIONS.load(Ordering::SeqCst);
+    let allocs_before = polsec_bench::allocations();
     for i in 0..HIT_WINDOW {
         let r = &requests[(i as usize) % requests.len()];
         black_box(engine.decide(r, &ctx));
     }
-    let hit_allocs = ALLOCATIONS.load(Ordering::SeqCst) - allocs_before;
+    let hit_allocs = polsec_bench::allocations() - allocs_before;
     let allocs_per_hit = hit_allocs as f64 / HIT_WINDOW as f64;
     let zero_alloc_hit = hit_allocs == 0;
 
@@ -159,20 +131,20 @@ fn main() {
         stats.cache_misses,
         stats_exact,
     );
-    println!("{summary}");
-    if let Err(e) = std::fs::write("BENCH_throughput.json", format!("{summary}\n")) {
-        eprintln!("note: could not write BENCH_throughput.json: {e}");
-    }
+    polsec_bench::write_summary("throughput", &summary);
 
-    if !zero_alloc_hit {
-        eprintln!("FAIL: cache-hit decide allocated ({hit_allocs} allocations in {HIT_WINDOW} hits)");
-        std::process::exit(1);
-    }
-    if !stats_exact {
-        eprintln!(
-            "FAIL: {made} decisions made, but stats count {} ({} allows + {} denies) and the audit {audited}",
+    let mut gate = polsec_bench::Gate::new();
+    gate.check(
+        zero_alloc_hit,
+        format_args!("cache-hit decide allocated ({hit_allocs} allocations in {HIT_WINDOW} hits)"),
+    );
+    gate.check(
+        stats_exact,
+        format_args!(
+            "{made} decisions made, but stats count {} ({} allows + {} denies) \
+             and the audit {audited}",
             stats.decisions, stats.allows, stats.denies
-        );
-        std::process::exit(1);
-    }
+        ),
+    );
+    gate.finish();
 }

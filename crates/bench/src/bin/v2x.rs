@@ -37,12 +37,6 @@ fn run(cfg: &V2xConfig) -> (V2xReport, String) {
     (report, json)
 }
 
-/// Median of three timings: robust to a single outlier pass.
-fn median3(mut xs: [f64; 3]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[1]
-}
-
 fn main() {
     let mut args = std::env::args().skip(1);
     let vehicles: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(100);
@@ -70,20 +64,23 @@ fn main() {
         warmup.elapsed_sec
     );
     let mut timed = Vec::with_capacity(3);
-    let mut deterministic = true;
     for pass in 1..=3u32 {
         let (report, json) = run(&cfg);
         eprintln!("timed run {pass}: {} frames in {:.2}s", report.frames(), report.elapsed_sec);
-        deterministic &= json == reference_json;
         timed.push((report, json));
     }
     let mut serial_cfg = cfg.clone();
     serial_cfg.fleet.threads = 1;
-    let (mut serial, serial_json) = run(&serial_cfg);
+    let (serial, serial_json) = run(&serial_cfg);
     eprintln!("run (1 thread): {} frames in {:.2}s", serial.frames(), serial.elapsed_sec);
-    deterministic &= serial_json == reference_json;
+    let mut gate = polsec_bench::Gate::new();
+    let deterministic = gate.identical(
+        "replay or thread-count variance in the deterministic metrics",
+        &reference_json,
+        timed.iter().map(|(_, json)| json.as_str()).chain([serial_json.as_str()]),
+    );
 
-    let m = &mut serial.metrics;
+    let m = &serial.metrics;
     let v2x_leaked = m.counter("v2x.leaked");
     let fleet_leaked = m.counter("attack.leaked");
     let applied = m.counter("ota.applied");
@@ -97,11 +94,7 @@ fn main() {
     let undelivered_inbox = m.counter("plane.undelivered_inbox");
     let undelivered_parked = m.counter("plane.undelivered_parked");
     let frames = serial.frames();
-    let elapsed_sec = median3([
-        timed[0].0.elapsed_sec,
-        timed[1].0.elapsed_sec,
-        timed[2].0.elapsed_sec,
-    ]);
+    let elapsed_sec = polsec_bench::median(timed.iter().map(|(report, _)| report.elapsed_sec));
     let frames_per_sec = frames as f64 / elapsed_sec.max(1e-9);
 
     let wall_json = serial.wall.to_json();
@@ -133,72 +126,45 @@ fn main() {
         serial_json,
         wall_json,
     );
-    println!("{summary}");
-    if let Err(e) = std::fs::write("BENCH_v2x.json", format!("{summary}\n")) {
-        eprintln!("note: could not write BENCH_v2x.json: {e}");
-    }
+    polsec_bench::write_summary("v2x", &summary);
 
-    let mut failed = false;
-    if !deterministic {
-        eprintln!("FAIL: replay or thread-count variance in the deterministic metrics");
-        let a = &reference_json;
-        let b = timed
-            .iter()
-            .map(|(_, j)| j)
-            .chain(std::iter::once(&serial_json))
-            .find(|j| **j != *a)
-            .unwrap_or(&serial_json);
-        let byte = a
-            .bytes()
-            .zip(b.bytes())
-            .position(|(x, y)| x != y)
-            .unwrap_or_else(|| a.len().min(b.len()));
-        let lo = byte.saturating_sub(60);
-        eprintln!("  a[..]: {}", &a[lo..(byte + 60).min(a.len())]);
-        eprintln!("  b[..]: {}", &b[lo..(byte + 60).min(b.len())]);
-        failed = true;
-    }
-    if v2x_leaked > 0 {
-        eprintln!("FAIL: {v2x_leaked} attacker platoon messages were accepted");
-        failed = true;
-    }
-    if fleet_leaked > 0 {
-        eprintln!("FAIL: {fleet_leaked} in-vehicle attack frame deliveries leaked");
-        failed = true;
-    }
-    if applied != vehicles as u64 {
-        eprintln!("FAIL: rollout applied on {applied}/{vehicles} vehicles");
-        failed = true;
-    }
-    if tamper_sent > 0 && tamper_rejected != vehicles as u64 {
-        eprintln!(
-            "FAIL: tampered bundle rejected by {tamper_rejected}/{vehicles} vehicles"
-        );
-        failed = true;
-    }
-    if stale_sent > 0 && stale_rejected != vehicles as u64 {
-        eprintln!("FAIL: stale bundle rejected by {stale_rejected}/{vehicles} vehicles");
-        failed = true;
-    }
-    if accepted == 0 || ecu_msgs == 0 {
-        eprintln!("FAIL: platooning never reached the followers' ECUs");
-        failed = true;
-    }
-    if undelivered != undelivered_inbox + undelivered_parked {
-        eprintln!(
-            "FAIL: undelivered accounting split ({undelivered} != \
+    gate.check(
+        v2x_leaked == 0,
+        format_args!("{v2x_leaked} attacker platoon messages were accepted"),
+    );
+    gate.check(
+        fleet_leaked == 0,
+        format_args!("{fleet_leaked} in-vehicle attack frame deliveries leaked"),
+    );
+    gate.check(
+        applied == vehicles as u64,
+        format_args!("rollout applied on {applied}/{vehicles} vehicles"),
+    );
+    gate.check(
+        tamper_sent == 0 || tamper_rejected == vehicles as u64,
+        format_args!("tampered bundle rejected by {tamper_rejected}/{vehicles} vehicles"),
+    );
+    gate.check(
+        stale_sent == 0 || stale_rejected == vehicles as u64,
+        format_args!("stale bundle rejected by {stale_rejected}/{vehicles} vehicles"),
+    );
+    gate.check(
+        accepted > 0 && ecu_msgs > 0,
+        "platooning never reached the followers' ECUs",
+    );
+    gate.check(
+        undelivered == undelivered_inbox + undelivered_parked,
+        format_args!(
+            "undelivered accounting split ({undelivered} != \
              {undelivered_inbox} inbox + {undelivered_parked} parked)"
-        );
-        failed = true;
-    }
-    if undelivered_parked > 0 {
-        eprintln!(
-            "FAIL: {undelivered_parked} deliveries parked past the run end \
+        ),
+    );
+    gate.check(
+        undelivered_parked == 0,
+        format_args!(
+            "{undelivered_parked} deliveries parked past the run end \
              without a fault plan"
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+        ),
+    );
+    gate.finish();
 }

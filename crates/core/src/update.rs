@@ -9,11 +9,10 @@
 use crate::bundle::SignedBundle;
 use crate::error::PolicyError;
 use crate::policy::PolicySet;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One entry in the device's update history.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UpdateRecord {
     /// Version installed by this event.
     pub version: u64,
@@ -24,7 +23,7 @@ pub struct UpdateRecord {
 }
 
 /// Result classification for an update attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdateOutcome {
     /// The bundle verified and was installed.
     Applied,

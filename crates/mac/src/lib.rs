@@ -15,10 +15,13 @@
 //!   invalidation (benched in E5),
 //! * [`Enforcer`] — enforcing/permissive check entry point with AVC audit
 //!   messages,
-//! * [`anomaly`] — the "identifying anomalous behaviour" hook: rate and
-//!   n-gram sequence detectors over the event stream,
 //! * [`adapter`] — compiles `polsec-core` process-facing policies into a
 //!   [`PolicyModule`], so one threat model drives both enforcement points.
+//!
+//! The paper's other software hook, "identifying anomalous behaviour", lives
+//! in `polsec_car::anomaly` (payload plausibility models on the in-vehicle
+//! and V2X ladders); event-rate bounds are the `polsec-core` engine's
+//! per-scope rate windows.
 //!
 //! # Example
 //!
@@ -45,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod adapter;
-pub mod anomaly;
 pub mod avc;
 pub mod context;
 pub mod enforcer;
@@ -54,7 +56,6 @@ pub mod policy;
 pub mod te;
 
 pub use adapter::module_from_core_policy;
-pub use anomaly::{AnomalyDetector, NGramDetector, RateDetector};
 pub use avc::{AccessVector, Avc, AvcExportEntry, AvcStats};
 pub use context::SecurityContext;
 pub use enforcer::{CheckResult, Enforcer, EnforcementMode};

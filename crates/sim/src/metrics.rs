@@ -5,7 +5,6 @@
 //! counts: their memory is fixed by the largest value recorded, never by the
 //! number of observations, and merging two of them is bucket addition.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -35,7 +34,7 @@ pub fn json_quote(s: &str) -> String {
 /// blocked.add(4);
 /// assert_eq!(blocked.value(), 5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Counter {
     name: String,
     value: u64,
@@ -101,7 +100,7 @@ impl fmt::Display for Counter {
 /// let p50 = h.quantile(0.5).unwrap();
 /// assert!(p50 <= 500 && 500 - p50 <= 500 >> Histogram::SUB_BUCKET_BITS);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Histogram {
     /// Observation count per bucket, up to the highest occupied bucket.
     buckets: Vec<u64>,
@@ -259,7 +258,7 @@ impl Histogram {
 
 /// A named collection of counters and histograms, the standard report shape
 /// for harness binaries.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricSet {
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
