@@ -20,7 +20,11 @@
 //! * the tampered and stale bundles were rejected by **every** vehicle, and
 //! * undelivered-mail accounting is exact: `plane.undelivered` equals
 //!   `plane.undelivered_inbox + plane.undelivered_parked`, and with no
-//!   fault plan nothing is ever parked.
+//!   fault plan nothing is ever parked, and
+//! * the follower's auth rung allocates nothing: after a warm-up pass, a
+//!   verify pass over authentic and forged platoon messages under the
+//!   prepared fleet key, plus a `sha256`, makes zero heap allocations
+//!   (`"auth_zero_alloc"`, counted by a counting global allocator).
 //!
 //! Writes `BENCH_v2x.json` (including the resolved `"threads"` count the
 //! timed runs actually used) and exits non-zero on any violation.
@@ -28,8 +32,35 @@
 //! Usage: `v2x [vehicles] [epochs] [frames_per_epoch] [threads] [seed]`
 //! (defaults 100, 10, 1000, auto, 42).
 
-use polsec_car::v2x::{run_v2x, V2xConfig, V2xReport};
+use polsec_car::v2x::{run_v2x, PlatoonMsg, V2xConfig, V2xReport, CLAIM_V2X_LEAD, FLEET_V2X_KEY};
+use polsec_core::sign::{sha256, HmacKey};
 use polsec_sim::resolve_threads;
+use std::hint::black_box;
+
+polsec_bench::counting_allocator!();
+
+/// Heap allocations made by one pass of the auth rung: `verify_with` under
+/// the prepared fleet key over authentic and forged messages, plus a
+/// `sha256` of a multi-block buffer. A warm-up pass runs uncounted first.
+fn auth_pass_allocations() -> u64 {
+    let key = HmacKey::new(FLEET_V2X_KEY);
+    let msgs: Vec<PlatoonMsg> = (0..64u32)
+        .map(|seq| {
+            let signer: &[u8] = if seq % 2 == 0 { FLEET_V2X_KEY } else { b"forged-key" };
+            PlatoonMsg::signed(signer, 0, seq, 60, false, CLAIM_V2X_LEAD)
+        })
+        .collect();
+    let buf = [0xA5u8; 200];
+    let pass = || {
+        let accepted = msgs.iter().filter(|m| black_box(*m).verify_with(&key)).count();
+        assert_eq!(accepted, msgs.len() / 2, "exactly the authentic half verifies");
+        black_box(sha256(black_box(&buf)));
+    };
+    pass();
+    let before = polsec_bench::allocations();
+    pass();
+    polsec_bench::allocations() - before
+}
 
 fn run(cfg: &V2xConfig) -> (V2xReport, String) {
     let report = run_v2x(cfg);
@@ -97,6 +128,9 @@ fn main() {
     let elapsed_sec = polsec_bench::median(timed.iter().map(|(report, _)| report.elapsed_sec));
     let frames_per_sec = frames as f64 / elapsed_sec.max(1e-9);
 
+    let auth_allocs = auth_pass_allocations();
+    let auth_zero_alloc = auth_allocs == 0;
+
     let wall_json = serial.wall.to_json();
     let summary = format!(
         concat!(
@@ -105,6 +139,7 @@ fn main() {
             "\"frames\":{},\"frames_per_sec\":{:.0},\"elapsed_sec\":{:.3},",
             "\"v2x_accepted\":{},\"v2x_leaked\":{},\"ecu_platoon_msgs\":{},",
             "\"ota_applied\":{},\"ota_tamper_rejected\":{},\"ota_stale_rejected\":{},",
+            "\"auth_zero_alloc\":{},",
             "\"metrics\":{},\"wall\":{}}}"
         ),
         vehicles,
@@ -123,6 +158,7 @@ fn main() {
         applied,
         tamper_rejected,
         stale_rejected,
+        auth_zero_alloc,
         serial_json,
         wall_json,
     );
@@ -165,6 +201,10 @@ fn main() {
             "{undelivered_parked} deliveries parked past the run end \
              without a fault plan"
         ),
+    );
+    gate.check(
+        auth_zero_alloc,
+        format_args!("the auth rung's verify pass made {auth_allocs} heap allocations"),
     );
     gate.finish();
 }

@@ -77,7 +77,7 @@ use crate::fleet::{FleetConfig, Vehicle};
 use crate::modes::{LimpTransition, PlatoonHealth};
 use crate::security_model::car_policy;
 use polsec_core::dsl::parse_policy;
-use polsec_core::sign::hmac_sha256;
+use polsec_core::sign::HmacKey;
 use polsec_core::{
     AccessRequest, Action, DevicePolicyStore, EntityId, EvalContext, Policy, PolicyBundle,
     PolicyEngine, PolicyError, PolicySet, SignedBundle,
@@ -85,7 +85,7 @@ use polsec_core::{
 use polsec_sim::plane::{Envelope, EpochCtx, GroupId, Outbox};
 use polsec_sim::{run_epochs_faulted, DetRng, FaultPlan, MessagePlane, MetricSet};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// The broadcast group every vehicle of the run belongs to.
@@ -154,13 +154,18 @@ pub struct PlatoonMsg {
 /// Computes the authentication tag of a platoon message: the first eight
 /// bytes of HMAC-SHA-256 over the canonical field encoding.
 pub fn platoon_tag(key: &[u8], lead: u32, seq: u32, speed: u8, brake: bool, claimed: u8) -> u64 {
+    tag_under(&HmacKey::new(key), lead, seq, speed, brake, claimed)
+}
+
+/// [`platoon_tag`] under a prepared key.
+fn tag_under(key: &HmacKey, lead: u32, seq: u32, speed: u8, brake: bool, claimed: u8) -> u64 {
     let mut buf = [0u8; 11];
     buf[..4].copy_from_slice(&lead.to_le_bytes());
     buf[4..8].copy_from_slice(&seq.to_le_bytes());
     buf[8] = speed;
     buf[9] = u8::from(brake);
     buf[10] = claimed;
-    let digest = hmac_sha256(key, &buf);
+    let digest = key.mac(&buf);
     u64::from_le_bytes(digest[..8].try_into().expect("digest is 32 bytes"))
 }
 
@@ -177,9 +182,49 @@ impl PlatoonMsg {
         }
     }
 
-    /// Whether the tag verifies under `key`.
+    /// Whether the tag verifies under `key`; prepares the key on every
+    /// call (see [`PlatoonMsg::verify_with`]).
     pub fn verify(&self, key: &[u8]) -> bool {
-        self.tag == platoon_tag(key, self.lead, self.seq, self.speed, self.brake, self.claimed)
+        self.verify_with(&HmacKey::new(key))
+    }
+
+    /// Whether the tag verifies under the prepared `key`: two SHA-256
+    /// compressions and no allocation.
+    pub fn verify_with(&self, key: &HmacKey) -> bool {
+        self.tag == tag_under(key, self.lead, self.seq, self.speed, self.brake, self.claimed)
+    }
+}
+
+/// What a follower's auth and policy rungs judge every platoon message
+/// with, prepared once per process (by the first [`V2xVehicle::build`]) so
+/// the ladder neither re-derives the fleet key nor takes the interner lock
+/// per message.
+struct LadderTable {
+    /// [`FLEET_V2X_KEY`], prepared.
+    fleet_key: HmacKey,
+    /// `entry:<claimed_entry(code)>` at `code` for the known claim codes,
+    /// then `entry:unknown` for every other code.
+    entries: [EntityId; 4],
+    /// `asset:v2x-platoon`.
+    platoon_asset: EntityId,
+}
+
+impl LadderTable {
+    fn shared() -> &'static LadderTable {
+        static TABLE: OnceLock<LadderTable> = OnceLock::new();
+        TABLE.get_or_init(LadderTable::new)
+    }
+
+    fn new() -> Self {
+        LadderTable {
+            fleet_key: HmacKey::new(FLEET_V2X_KEY),
+            entries: std::array::from_fn(|code| EntityId::new("entry", claimed_entry(code as u8))),
+            platoon_asset: EntityId::new("asset", "v2x-platoon"),
+        }
+    }
+
+    fn entry(&self, claimed: u8) -> EntityId {
+        self.entries[usize::from(claimed).min(self.entries.len() - 1)]
     }
 }
 
@@ -492,6 +537,8 @@ struct V2xVehicle {
     /// Whether this shard is the compromised member.
     is_attacker: bool,
     car: Vehicle,
+    /// The prepared fleet key and policy-rung entities.
+    ladder: &'static LadderTable,
     store: DevicePolicyStore,
     /// Judges platoon ingestion against the store's *active* set; rebuilt
     /// after every applied update.
@@ -559,6 +606,7 @@ impl V2xVehicle {
             shard,
             is_attacker: Some(shard) == cfg.attacker(),
             car,
+            ladder: LadderTable::shared(),
             store,
             ingest,
             ctx: EvalContext::new().with_mode("normal"),
@@ -656,7 +704,7 @@ impl V2xVehicle {
         }
         self.count("v2x.received", 1);
 
-        let authentic = msg.verify(FLEET_V2X_KEY);
+        let authentic = msg.verify_with(&self.ladder.fleet_key);
         if cfg.defenses.auth && !authentic {
             self.count("v2x.rejected_auth", 1);
             if is_attack {
@@ -686,8 +734,8 @@ impl V2xVehicle {
         }
         if cfg.defenses.policy_check {
             let request = AccessRequest::new(
-                EntityId::new("entry", claimed_entry(msg.claimed)),
-                EntityId::new("asset", "v2x-platoon"),
+                self.ladder.entry(msg.claimed),
+                self.ladder.platoon_asset,
                 Action::Write,
             );
             let now_us = self.car.now().as_micros();
@@ -1180,6 +1228,34 @@ mod tests {
         let mut reclaimed = m;
         reclaimed.claimed = CLAIM_INFOTAINMENT;
         assert!(!reclaimed.verify(FLEET_V2X_KEY), "claimed origin is covered");
+    }
+
+    #[test]
+    fn prepared_key_verifies_like_the_byte_key() {
+        let table = LadderTable::new();
+        let m = PlatoonMsg::signed(FLEET_V2X_KEY, 3, 9, 72, true, CLAIM_TELEMATICS);
+        assert!(m.verify_with(&table.fleet_key));
+        let forged = PlatoonMsg::signed(b"other-key", 3, 9, 72, true, CLAIM_TELEMATICS);
+        assert!(!forged.verify_with(&table.fleet_key));
+        let mut tampered = m;
+        tampered.seq += 1;
+        assert!(!tampered.verify_with(&table.fleet_key));
+        for msg in [m, forged, tampered] {
+            assert_eq!(msg.verify_with(&table.fleet_key), msg.verify(FLEET_V2X_KEY));
+        }
+    }
+
+    #[test]
+    fn ladder_table_names_the_entities_the_policy_is_asked_about() {
+        let table = LadderTable::new();
+        for code in 0..=u8::MAX {
+            assert_eq!(
+                table.entry(code),
+                EntityId::new("entry", claimed_entry(code)),
+                "claim code {code}"
+            );
+        }
+        assert_eq!(table.platoon_asset, EntityId::new("asset", "v2x-platoon"));
     }
 
     #[test]

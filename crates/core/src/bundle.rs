@@ -259,6 +259,28 @@ mod tests {
     }
 
     #[test]
+    fn misspelled_signatures_rejected_without_panicking() {
+        // a version whose tag has a byte below 0x10, i.e. a pair "0x" that a
+        // sign-accepting decoder would also read from "+x"
+        let (signed, zero_pair) = (1..)
+            .map(|version| bundle(version).sign(KEY))
+            .find_map(|signed| {
+                let pair = signed.signature_hex().as_bytes().chunks(2).position(|p| p[0] == b'0')?;
+                Some((signed, 2 * pair))
+            })
+            .expect("some tag has a byte below 0x10");
+        let hex = signed.signature_hex();
+        let signed_spelling = format!("{}+{}", &hex[..zero_pair], &hex[zero_pair + 1..]);
+        // same byte length, with 'é' straddling the first pair boundary
+        let multibyte_spelling = format!("aé{}", &hex[3..]);
+        for spelling in [signed_spelling, multibyte_spelling] {
+            assert_eq!(spelling.len(), hex.len());
+            let bad = SignedBundle::from_parts(signed.payload().to_vec(), spelling.clone());
+            assert_eq!(bad.verify(KEY).unwrap_err(), PolicyError::BadSignature, "{spelling}");
+        }
+    }
+
+    #[test]
     fn malformed_payload_with_valid_tag_rejected_as_bundle() {
         // sign arbitrary junk so the signature verifies but decoding fails
         let junk = b"{\"not\": \"a bundle\"}".to_vec();
